@@ -45,7 +45,6 @@ from .graphs import (
     graph_to_json,
 )
 from .partitions import (
-    PartitionQuery,
     count_partitions,
     enumerate_partitions,
     partition_function,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conditions import ChvatalCondition, evaluate, format_condition
+from .conditions import ChvatalCondition, condition_to_json, evaluate
 from .graphs import MAX_VERTICES, Graph, clique, empty_graph, graph_to_json, join, union
 from .sequences import DegreeSequence, NotGraphicalError, is_graphical
 
@@ -87,10 +87,7 @@ class Verdict:
             "failing_rule": self.failing_rule,
             "blocking_sequence": list(self.blocking_sequence) if self.blocking_sequence else None,
             "blocking_graph_spec": spec,
-            "conditions": [
-                {"n": c.n, "clauses": [list(cl) for cl in c.clauses], "text": format_condition(c)}
-                for c in self.condition_set
-            ],
+            "conditions": [condition_to_json(c) for c in self.condition_set],
         }
 
 

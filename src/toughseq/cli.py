@@ -25,7 +25,13 @@ from .checkers import (
     parse_rational,
     tough_ge1_conditions,
 )
-from .conditions import canonicalize, format_condition, frontier_sequence, parse_condition
+from .conditions import (
+    canonicalize,
+    condition_to_json,
+    format_condition,
+    frontier_sequence,
+    parse_condition,
+)
 from .graphs import read_graph, toughness
 from .partitions import count_partitions, enumerate_partitions
 from .sequences import NotGraphicalError, format_sequence, majorizes, parse_sequence
@@ -130,10 +136,7 @@ def cmd_sinks(args) -> int:
         conds = generate_best_monotone(report.sinks)
         lines.append(f"best monotone conditions ({len(conds)}):")
         lines.extend(f"  {format_condition(c)}" for c in conds)
-        payload["conditions"] = [
-            {"n": c.n, "clauses": [list(cl) for cl in c.clauses], "text": format_condition(c)}
-            for c in conds
-        ]
+        payload["conditions"] = [condition_to_json(c) for c in conds]
     _emit(args, payload, lines)
     negative = (
         not report.counts_match
@@ -164,10 +167,7 @@ def cmd_theorem(args) -> int:
         "t": {"num": t.numerator, "den": t.denominator},
         "n": n,
         "best_monotone": bool(args.best_monotone),
-        "conditions": [
-            {"n": c.n, "clauses": [list(cl) for cl in c.clauses], "text": format_condition(c)}
-            for c in conds
-        ],
+        "conditions": [condition_to_json(c) for c in conds],
     }
     _emit(args, payload, lines)
     return 0
@@ -193,7 +193,7 @@ def cmd_verify_optimality(args) -> int:
         n = args.m * (args.k + 1)
     else:
         raise ValueError("give --n or --m")
-    cond = parse_condition(args.condition, n)
+    cond = canonicalize(parse_condition(args.condition, n))
     t = Fraction(1, args.k)
     if args.family_sinks:
         sinks = tuple(subposet_report(args.k, n=n, verify_claims=False).sinks)
@@ -210,7 +210,7 @@ def cmd_verify_optimality(args) -> int:
     frontier = frontier_sequence(cond)
     witness = next((s for s in sinks if majorizes(s, frontier)), None)
     lines = [
-        f"condition: {format_condition(canonicalize(cond))} (n = {n})",
+        f"condition: {format_condition(cond)} (n = {n})",
         f"property: 1/{args.k}-tough  (sinks from {source}: {len(sinks)})",
         f"frontier sequence: {format_sequence(frontier)}",
         f"weakly optimal: {'yes' if result else 'no'}",
@@ -218,8 +218,7 @@ def cmd_verify_optimality(args) -> int:
     if witness is not None:
         lines.append(f"majorizing sink: {format_sequence(witness)}")
     payload = {
-        "condition": {"n": n, "clauses": [list(cl) for cl in canonicalize(cond).clauses],
-                      "text": format_condition(canonicalize(cond))},
+        "condition": condition_to_json(cond),
         "k": args.k,
         "sink_source": source,
         "sink_count": len(sinks),

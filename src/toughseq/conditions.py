@@ -134,8 +134,9 @@ def frontier_sequence(cond: ChvatalCondition) -> DegreeSequence:
 
 
 def condition_to_json(cond: ChvatalCondition) -> dict:
-    """JSON form: the length n plus the clause list of [i, k] pairs."""
-    return {"n": cond.n, "clauses": [list(cl) for cl in cond.clauses]}
+    """JSON form: the length n, the clause list of [i, k] pairs and the text form."""
+    return {"n": cond.n, "clauses": [list(cl) for cl in cond.clauses],
+            "text": format_condition(cond)}
 
 
 def condition_from_json(data: dict) -> ChvatalCondition:

@@ -5,6 +5,11 @@ iff u ~ v), which keeps component flooding and exhaustive cutset
 enumeration cheap at oracle scale.  All toughness values are exact
 ``fractions.Fraction``s; nothing here ever touches floating point.
 
+One cutset scan, ``_cutsets``, serves ``toughness``, ``is_t_tough``
+and ``is_k_connected``: it yields (X, omega(G - X)) for every cutset X
+by size, then lexicographically, and each caller supplies the size at
+which to stop.  The sweep tables below are the only other cutset loop.
+
 Exhaustive sweeps enumerate every labeled graph on n vertices (all
 2^(n(n-1)/2) edge masks).  Edge bit b of a mask encodes the pair
 ``edge_pairs(n)[b]``, pairs ordered (0,1), (0,2), ..., (1,2), ...;
@@ -206,69 +211,68 @@ def _mask_to_vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _cutsets(g: Graph, stop):
+    """Yield (X, omega(G - X)) for every cutset X of g (omega >= 2).
+
+    Cutsets come by increasing size, then lexicographically; ``stop(size)``
+    is asked before each size and ends the scan when true.  This is the
+    one cutset enumeration behind toughness, t-toughness and connectivity.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    rows = g.rows
+    for size in range(n - 1):
+        if stop(size):
+            return
+        for xs in combinations(range(n), size):
+            xmask = 0
+            for v in xs:
+                xmask |= 1 << v
+            inside = full ^ xmask
+            comp = _component_of(rows, inside & -inside, inside)
+            if comp != inside:
+                yield xs, 1 + _count_components(rows, inside ^ comp)
+
+
 def toughness(g: Graph) -> ToughnessResult:
     """Exact tau(G) by cutset enumeration; tau(K_n) = n - 1 by convention.
 
-    Cutsets X are visited by increasing size, then lexicographically,
-    and only a strictly smaller ratio replaces the witness, so the
-    reported witness is deterministic.  Once |X|/(n-|X|) cannot beat
-    the best ratio, larger sizes are skipped (that quotient lower
-    bounds every ratio at that size).
+    Only a strictly smaller ratio replaces the witness, so the first
+    cutset in scan order attaining tau is reported.  Once |X|/(n-|X|)
+    cannot beat the best ratio, larger sizes are skipped (that quotient
+    lower bounds every ratio at that size).
     """
     n = g.n
     if n > TOUGHNESS_LIMIT:
         raise ValueError(f"exact toughness limited to n <= {TOUGHNESS_LIMIT}")
     if g.is_complete():
         return ToughnessResult(Fraction(n - 1), None, None)
-    full = (1 << n) - 1
-    rows = g.rows
-    best: Fraction | None = None
-    best_x: tuple[int, ...] = ()
-    best_w = 0
-    for size in range(n - 1):
-        if best is not None and Fraction(size, n - size) >= best:
-            break
-        for xs in combinations(range(n), size):
-            xmask = 0
-            for v in xs:
-                xmask |= 1 << v
-            inside = full ^ xmask
-            first = inside & -inside
-            comp = _component_of(rows, first, inside)
-            if comp == inside:
-                continue
-            w = 1 + _count_components(rows, inside ^ comp)
-            ratio = Fraction(size, w)
-            if best is None or ratio < best:
-                best = ratio
-                best_x = xs
-                best_w = w
+    best = None  # (ratio, X, omega)
+
+    def beaten(size):
+        return best is not None and Fraction(size, n - size) >= best[0]
+
+    for xs, w in _cutsets(g, beaten):
+        ratio = Fraction(len(xs), w)
+        if best is None or ratio < best[0]:
+            best = (ratio, xs, w)
     assert best is not None  # non-complete graphs always have a cutset
-    return ToughnessResult(best, best_x, best_w)
+    return ToughnessResult(*best)
 
 
 def is_t_tough(g: Graph, t) -> bool:
-    """True iff tau(G) >= t; scans cutsets with early exit on a violation."""
+    """True iff tau(G) >= t; exits early on a violating cutset.
+
+    A cutset X leaves at most n - |X| components, so no size with
+    |X|/(n-|X|) >= t can violate; that bound also settles t <= 0.
+    """
     t = Fraction(t)
     n = g.n
     if g.is_complete():
         return n - 1 >= t
-    if t <= 0:
-        return True
     p, q = t.numerator, t.denominator
-    full = (1 << n) - 1
-    rows = g.rows
-    # S = surviving vertex set, X = full ^ S
-    for s in range(1, full + 1):
-        first = s & -s
-        comp = _component_of(rows, first, s)
-        if comp == s:
-            continue
-        w = 1 + _count_components(rows, s ^ comp)
-        x = n - s.bit_count()
-        if q * x < p * w:
-            return False
-    return True
+    return all(q * len(xs) >= p * w
+               for xs, w in _cutsets(g, lambda size: q * size >= p * (n - size)))
 
 
 def is_hamiltonian(g: Graph) -> bool:
@@ -312,22 +316,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
     """Standard k-connectivity: n > k and no cutset of size < k (K_n is (n-1)-connected)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    n = g.n
-    if k == 0:
-        return True
-    if n <= k:
-        return False
-    full = (1 << n) - 1
-    rows = g.rows
-    for size in range(k):
-        for xs in combinations(range(n), size):
-            xmask = 0
-            for v in xs:
-                xmask |= 1 << v
-            inside = full ^ xmask
-            if _component_of(rows, inside & -inside, inside) != inside:
-                return False
-    return True
+    return g.n > k and next(_cutsets(g, lambda size: size >= k), None) is None
 
 
 def edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -506,7 +495,15 @@ def parse_graph(text: str) -> Graph:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         data = json.loads(stripped)
-        return Graph(int(data["n"]), [tuple(e) for e in data.get("edges", [])])
+        try:
+            n = data["n"]
+            edges = [(u, v) for u, v in data.get("edges", [])]
+            numbers = [n, *(x for e in edges for x in e)]
+        except (KeyError, TypeError, ValueError):
+            numbers = [None]
+        if not all(isinstance(x, int) for x in numbers):
+            raise ValueError('JSON graph must look like {"n": N, "edges": [[u, v], ...]}')
+        return Graph(n, edges)
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty graph file")

@@ -1,18 +1,15 @@
 """Exact integer-partition counting and enumeration.
 
-Counts use the standard two-constraint recurrence (at most L parts,
-each at most M) with Python's arbitrary-precision integers, so there
-is no overflow cliff.  p(0) = 1 by convention; parts are positive and
-"at most L parts" permits fewer.
+Counts expand the two-constraint generating function (at most L parts,
+each at most M) iteratively with Python's arbitrary-precision integers,
+and enumeration walks an explicit stack, so there is no overflow or
+recursion cliff.  p(0) = 1 by convention; parts are positive and "at
+most L parts" permits fewer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 __all__ = [
-    "PartitionQuery",
     "count_partitions",
     "enumerate_partitions",
     "partition_function",
@@ -21,55 +18,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PartitionQuery:
-    """Partitions of r, optionally bounded in part count and part size."""
-
-    r: int
-    max_parts: int | None = None
-    max_part: int | None = None
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ValueError("r must be >= 0")
-        if self.max_parts is not None and self.max_parts < 0:
-            raise ValueError("max_parts must be >= 0")
-        if self.max_part is not None and self.max_part < 0:
-            raise ValueError("max_part must be >= 0")
-
-    def count(self) -> int:
-        return count_partitions(self.r, self.max_parts, self.max_part)
-
-    def enumerate(self) -> list[list[int]]:
-        return enumerate_partitions(self.r, self.max_parts, self.max_part)
-
-
-@lru_cache(maxsize=None)
-def _count(r: int, parts: int, largest: int) -> int:
-    # partitions of r into at most `parts` parts, each at most `largest`
-    if r == 0:
-        return 1
-    if parts == 0 or largest == 0:
-        return 0
-    if largest > r:
-        largest = r
-    total = 0
-    # split on whether a part of size exactly `largest` occurs
-    if largest <= r:
-        total += _count(r - largest, parts - 1, largest)
-    total += _count(r, parts, largest - 1)
-    return total
+def _check_bounds(r: int, max_parts: int | None, max_part: int | None) -> None:
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    if max_parts is not None and max_parts < 0:
+        raise ValueError("max_parts must be >= 0")
+    if max_part is not None and max_part < 0:
+        raise ValueError("max_part must be >= 0")
 
 
 def count_partitions(r: int, max_parts: int | None = None, max_part: int | None = None) -> int:
-    """Exact number of partitions of r under the given bounds."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    """Exact number of partitions of r under the given bounds.
+
+    The count is the coefficient of q^r in the Gaussian binomial
+    prod_{i=1..L} (1 - q^(M+i)) / (1 - q^i) with L = max_parts and
+    M = max_part (each capped at r), expanded one factor at a time as
+    a power series truncated past q^r.
+    """
+    _check_bounds(r, max_parts, max_part)
     parts = r if max_parts is None else min(max_parts, r)
     largest = r if max_part is None else min(max_part, r)
-    if r == 0:
-        return 1
-    return _count(r, parts, largest)
+    coeffs = [1] + [0] * r
+    for i in range(1, parts + 1):
+        for d in range(i, r + 1):  # divide by 1 - q^i
+            coeffs[d] += coeffs[d - i]
+        for d in range(r, largest + i - 1, -1):  # multiply by 1 - q^(M+i)
+            coeffs[d] -= coeffs[d - largest - i]
+    return coeffs[r]
 
 
 def partition_function(r: int) -> int:
@@ -83,25 +58,28 @@ def enumerate_partitions(r: int, max_parts: int | None = None, max_part: int | N
     The list starts at [r] (when admissible) and descends
     lexicographically, e.g. r=3 gives [[3], [2, 1], [1, 1, 1]].
     """
-    if r < 0:
-        raise ValueError("r must be >= 0")
+    _check_bounds(r, max_parts, max_part)
     parts = r if max_parts is None else max_parts
     largest = r if max_part is None else max_part
     out: list[list[int]] = []
-
-    def rec(remaining: int, cap: int, slots: int, acc: list[int]):
-        if remaining == 0:
-            out.append(acc.copy())
-            return
-        if slots == 0:
-            return
-        for first in range(min(cap, remaining), 0, -1):
-            acc.append(first)
-            rec(remaining - first, first, slots - 1, acc)
-            acc.pop()
-
-    rec(r, largest, parts, [])
-    return out
+    acc: list[int] = []
+    remaining = r
+    trial = [min(largest, r)]  # next part to try at each depth, counting down
+    while True:
+        if remaining == 0 or len(acc) == parts or trial[-1] == 0:
+            if remaining == 0:
+                out.append(acc.copy())
+            if not acc:
+                return out
+            trial.pop()
+            last = acc.pop()
+            remaining += last
+            trial[-1] = last - 1
+        else:
+            part = trial[-1]
+            acc.append(part)
+            remaining -= part
+            trial.append(min(part, remaining))
 
 
 def conjugate_equivalence_check(r: int, limit: int) -> bool:

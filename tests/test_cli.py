@@ -94,6 +94,15 @@ def test_toughness_command(capsys, tmp_path):
     assert run(capsys, "toughness", str(bad))[0] == 2
 
 
+def test_toughness_rejects_malformed_json_graph(capsys, tmp_path):
+    for data in ({"edges": [[0, 1]]}, {"n": 3, "edges": 5}, {"n": 2.5, "edges": []}):
+        fp = tmp_path / "bad.json"
+        fp.write_text(json.dumps(data))
+        code, out, err = run(capsys, "toughness", str(fp))
+        assert code == 2 and out == ""
+        assert err.startswith("error: JSON graph") and err.count("\n") == 1
+
+
 def test_sinks_command(capsys):
     code, out, _ = run(capsys, "sinks", "--k", "2", "--m", "9")
     assert code == 0
@@ -182,6 +191,45 @@ def test_verify_optimality_command(capsys):
     assert code in (0, 1)
     assert run(capsys, "verify-optimality", "--condition", "d2>=3",
                "--k", "1", "--n", "12")[0] == 2  # over the cap without the flag
+
+
+CONDITIONS_N6_T1 = [
+    {"n": 6, "clauses": [[1, 2], [5, 5]], "text": "d1>=2 | d5>=5"},
+    {"n": 6, "clauses": [[2, 3], [4, 4]], "text": "d2>=3 | d4>=4"},
+]
+
+PINNED_JSON = [
+    (["check", "--tough", "1", "--seq", "2^2 3^3 5"], 1, {
+        "schema": 1, "sequence": [2, 2, 3, 3, 3, 5], "property": "forcibly 1-tough",
+        "declared": False, "failing_index": 2, "failing_rule": None,
+        "blocking_sequence": [2, 2, 3, 3, 5, 5],
+        "blocking_graph_spec": {
+            "join_clique": 2, "independent_set": 2, "clique": 2,
+            "text": "K_2 + (~K_2 u K_2)",
+            "graph": {"n": 6, "edges": [[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [1, 2],
+                                        [1, 3], [1, 4], [1, 5], [4, 5]]},
+        },
+        "conditions": CONDITIONS_N6_T1,
+    }),
+    (["verify-optimality", "--condition", "d2>=3 | d4>=4", "--k", "1", "--n", "6"], 0, {
+        "schema": 1,
+        "condition": {"n": 6, "clauses": [[2, 3], [4, 4]], "text": "d2>=3 | d4>=4"},
+        "k": 1, "sink_source": "exhaustive sweep", "sink_count": 2,
+        "frontier": [2, 2, 3, 3, 5, 5], "weakly_optimal": True,
+        "majorizing_sink": [2, 2, 3, 3, 5, 5],
+    }),
+    (["theorem", "--t", "1", "--n", "6"], 0, {
+        "schema": 1, "t": {"num": 1, "den": 1}, "n": 6, "best_monotone": False,
+        "conditions": CONDITIONS_N6_T1,
+    }),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, payload", PINNED_JSON)
+def test_json_stdout_is_pinned(capsys, argv, exit_code, payload):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == exit_code
+    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_usage_errors_exit_2(capsys):

@@ -8,6 +8,7 @@ import pytest
 from toughseq.graphs import (
     Graph,
     HAMILTONICITY_LIMIT,
+    ToughnessResult,
     clique,
     components,
     edge_pairs,
@@ -33,6 +34,32 @@ def cycle(n):
 
 def path(n):
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def vertex_subsets(n):
+    """Every proper subset of range(n): by size, then lexicographically."""
+    for size in range(n):
+        yield from combinations(range(n), size)
+
+
+def components_without(g, xs):
+    """omega(G - X), from a freshly built induced subgraph."""
+    survivors = [v for v in range(g.n) if v not in xs]
+    return components(Graph(len(survivors), [
+        (a, b) for a, b in combinations(range(len(survivors)), 2)
+        if g.rows[survivors[a]] >> survivors[b] & 1
+    ]))
+
+
+def engine_graphs():
+    """All graphs with n <= 5, then seeded random graphs with n = 6..9."""
+    for n in range(1, 6):
+        for mask in range(1 << len(edge_pairs(n))):
+            yield Graph.from_mask(n, mask)
+    rng = random.Random(2)
+    for n in range(6, 10):
+        for _ in range(12):
+            yield Graph.from_mask(n, rng.getrandbits(len(edge_pairs(n))))
 
 
 def test_construction_examples():
@@ -129,17 +156,9 @@ def test_is_t_tough_matches_definition_on_samples():
     ts = [Fraction(p, q) for p in range(1, 5) for q in range(1, 5)]
 
     def definitional(g, t):
-        full = (1 << g.n) - 1
-        for xmask in range(full + 1):
-            survivors = [v for v in range(g.n) if not xmask >> v & 1]
-            if not survivors:
-                continue
-            sub = Graph(len(survivors), [
-                (a, b) for a, b in combinations(range(len(survivors)), 2)
-                if g.rows[survivors[a]] >> survivors[b] & 1
-            ])
-            w = components(sub)
-            if w > 1 and t * w > xmask.bit_count():
+        for xs in vertex_subsets(g.n):
+            w = components_without(g, xs)
+            if w > 1 and t * w > len(xs):
                 return False
         if g.is_complete():
             return g.n - 1 >= t
@@ -176,6 +195,26 @@ def test_k_connectivity():
     assert is_k_connected(cycle(5), 2)
     assert not is_k_connected(cycle(5), 3)
     assert is_k_connected(empty_graph(1), 0)
+
+
+def test_cutset_engine_against_definitions():
+    for g in engine_graphs():
+        n = g.n
+        cuts = [(xs, w) for xs in vertex_subsets(n)
+                if (w := components_without(g, xs)) > 1]
+        connectivity = min((len(xs) for xs, _ in cuts), default=n - 1)
+        for k in range(n + 2):
+            assert is_k_connected(g, k) == (k <= connectivity), (g, k)
+
+        result = toughness(g)
+        if cuts:
+            # min() keeps the first minimal ratio in scan order
+            xs, w = min(cuts, key=lambda c: Fraction(len(c[0]), c[1]))
+            assert result == ToughnessResult(Fraction(len(xs), w), xs, w), g
+        else:
+            assert result == ToughnessResult(Fraction(n - 1), None, None), g
+        assert is_t_tough(g, result.value)
+        assert not is_t_tough(g, result.value + Fraction(1, n * n))
 
 
 def test_forcibly_oracle_examples():
@@ -224,6 +263,16 @@ def test_graph_file_round_trip(tmp_path):
     jp = tmp_path / "g.json"
     jp.write_text(json.dumps(graph_to_json(g)))
     assert read_graph(jp) == g
+
+
+def test_parse_graph_rejects_json_without_n():
+    with pytest.raises(ValueError, match="JSON graph"):
+        parse_graph(json.dumps({"edges": [[0, 1]]}))
+
+
+def test_parse_graph_rejects_json_edges_not_a_list():
+    with pytest.raises(ValueError, match="JSON graph"):
+        parse_graph(json.dumps({"n": 3, "edges": 5}))
 
 
 def test_parse_graph_errors():

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toughseq.partitions import (
-    PartitionQuery,
     claim4_identity,
     conjugate_equivalence_check,
     count_partitions,
@@ -31,6 +30,7 @@ def test_enumerate_examples():
     assert enumerate_partitions(4) == [[4], [3, 1], [2, 2], [2, 1, 1], [1, 1, 1, 1]]
     assert enumerate_partitions(0) == [[]]
     assert enumerate_partitions(5, max_parts=3) == [[5], [4, 1], [3, 2], [3, 1, 1], [2, 2, 1]]
+    assert enumerate_partitions(1000, max_part=1) == [[1] * 1000]  # deeper than the recursion limit
 
 
 @settings(deadline=None)
@@ -86,10 +86,32 @@ def test_claim4_precondition_reported():
 
 
 def test_partition_query_surface():
-    q = PartitionQuery(5, max_parts=3)
-    assert q.count() == 5
-    assert q.enumerate() == enumerate_partitions(5, max_parts=3)
-    with pytest.raises(ValueError):
-        PartitionQuery(-1)
-    with pytest.raises(ValueError):
-        PartitionQuery(3, max_parts=-2)
+    assert count_partitions(5, max_parts=3) == 5
+    assert len(enumerate_partitions(5, max_parts=3)) == 5
+    for fn in (count_partitions, enumerate_partitions):
+        with pytest.raises(ValueError):
+            fn(-1)
+        with pytest.raises(ValueError):
+            fn(3, max_parts=-2)
+        with pytest.raises(ValueError):
+            fn(3, max_part=-1)
+
+
+def pentagonal_partition_numbers(limit):
+    """p(0..limit) by Euler's pentagonal number recurrence."""
+    p = [1] + [0] * limit
+    for m in range(1, limit + 1):
+        k = 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if g <= m:
+                    p[m] += sign * p[m - g]
+            k += 1
+    return p
+
+
+def test_partition_function_matches_pentagonal_recurrence():
+    p = pentagonal_partition_numbers(1000)
+    for r in (0, 1, 2, 57, 300, 1000):
+        assert partition_function(r) == p[r]
