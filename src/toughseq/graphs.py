@@ -8,7 +8,7 @@ enumeration cheap at oracle scale.  All toughness values are exact
 One cutset scan, ``_cutsets``, serves ``toughness``, ``is_t_tough``
 and ``is_k_connected``: it yields (X, omega(G - X)) for every cutset X
 by size, then lexicographically, and each caller supplies the size at
-which to stop.  The sweep tables below are the only other cutset loop.
+which to stop.  ``tough_mask_table`` is the only other cutset loop.
 
 Exhaustive sweeps enumerate every labeled graph on n vertices (all
 2^(n(n-1)/2) edge masks).  Edge bit b of a mask encodes the pair
@@ -358,42 +358,33 @@ def iter_labeled_graphs(n: int):
 
 
 @lru_cache(maxsize=None)
-def _component_count_table(s: int) -> bytes:
-    """omega for every labeled graph on s vertices, indexed by edge mask."""
-    full = (1 << s) - 1
-    out = bytearray(1 << len(edge_pairs(s)))
-    for mask, rows, _ in iter_labeled_graphs(s):
-        out[mask] = _count_components(rows, full)
-    return bytes(out)
+def _partition_ids(s: int):
+    """Component partitions of every labeled graph on s >= 1 vertices.
 
-
-@lru_cache(maxsize=None)
-def _induced_subset_tables(n: int):
-    """Bookkeeping to maintain induced edge masks of every vertex subset.
-
-    Returns (subset_sizes, edge_updates, full_index, scan_order) where
-    subsets S with |S| >= 2 are indexed densely; edge_updates[b] lists
-    (subset_index, local_bit) for every subset containing global edge
-    bit b; scan_order visits proper subsets by decreasing size.
+    Returns (ids, parts): ids[mask] indexes parts, sorted tuples of
+    component bitmasks.  Same peeling as ``tough_mask_table``: G's
+    components are those of G' = G - 0 that N misses plus one holding 0
+    and all that N hits, so each partition of G' gives one 2^(s-1)-byte
+    row of ids.  Bell(6) = 203 ids fit a byte, which is why the row fill
+    (s <= n - 1) holds up to SWEEP_LIMIT = 7.
     """
-    pairs = edge_pairs(n)
-    bit_of_pair = {uv: b for b, uv in enumerate(pairs)}
-    subs = [S for S in range(1 << n) if S.bit_count() >= 2]
-    index_of = {S: i for i, S in enumerate(subs)}
-    sizes = [S.bit_count() for S in subs]
-    edge_updates: list[list[tuple[int, int]]] = [[] for _ in pairs]
-    for S, idx in index_of.items():
-        verts = _mask_to_vertices(S)
-        local_bit = {uv: b for b, uv in enumerate(edge_pairs(len(verts)))}
-        for a in range(len(verts)):
-            for b in range(a + 1, len(verts)):
-                gb = bit_of_pair[(verts[a], verts[b])]
-                edge_updates[gb].append((idx, 1 << local_bit[(a, b)]))
-    full_index = index_of[(1 << n) - 1]
-    scan_order = sorted((i for i in range(len(subs)) if i != full_index),
-                        key=lambda i: -sizes[i])
-    updates = tuple(tuple(u) for u in edge_updates)
-    return sizes, updates, full_index, scan_order
+    if s == 1:
+        return b"\x00", ((1,),)
+    prev_ids, prev_parts = _partition_ids(s - 1)
+    index: dict[tuple[int, ...], int] = {}
+    rows = []
+    for comps in prev_parts:
+        row = bytearray()
+        for nb in range(1 << (s - 1)):
+            hub, missed = 1, []
+            for c in comps:
+                if c & nb:
+                    hub |= c << 1
+                else:
+                    missed.append(c << 1)
+            row.append(index.setdefault(tuple(sorted(missed + [hub])), len(index)))
+        rows.append(bytes(row))
+    return b"".join(rows[i] for i in prev_ids), tuple(index)
 
 
 @lru_cache(maxsize=None)
@@ -401,61 +392,70 @@ def tough_mask_table(n: int, p: int, q: int) -> bytes:
     """Table over all edge masks: entry 1 iff the graph is (p/q)-tough.
 
     Shared by the acceptance sweeps and the edge-maximal machinery;
-    cached per (n, p, q) since a single n=7 fill visits 2^21 graphs.
+    cached per (n, p, q) since a single n=7 fill covers 2^21 graphs.
 
-    Three tricks keep the fill fast without changing results:
-    * per-subset induced edge masks are maintained incrementally while
-      masks count up (an increment flips ~2 edge bits amortized), so
-      omega(G[S]) is a table lookup instead of a flood fill;
-    * t-tough survives edge addition, and ascending mask order visits
-      all children first, so any already-tough child certifies the
-      graph and only minimal tough graphs need the full cutset scan;
-    * the empty cutset (connectivity) is tested first, which settles
-      every disconnected graph in one lookup.
+    The fill peels vertex 0.  The low n-1 bits of a mask are its
+    neighbourhood N and the high bits are the mask m of G' = G - 0
+    (vertex v relabeled v - 1), so the 2^(n-1) graphs sharing m form
+    one contiguous row.  A surviving set S = V - X either avoids 0, and
+    then omega(G[S]) = omega(G'[S]) depends on m alone, or is {0} + S',
+    and then omega(G[S]) is 1 plus the number of components of G'[S']
+    that N misses.  So each nonempty S' and component partition of
+    G'[S'] gives one 2^(n-1)-bit integer marking the N for which neither
+    S' nor {0} + S' violates q|X| >= p omega, and a row is the AND of
+    these over all S'.  The induced masks of G'[S'] are kept up to date
+    as m counts up (an increment flips ~2 edge bits amortized).
     """
     if p <= 0 or q <= 0:
         raise ValueError("t must be a positive rational")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > SWEEP_LIMIT:
         raise ValueError(f"toughness tables limited to n <= {SWEEP_LIMIT}")
-    pairs = edge_pairs(n)
-    m = len(pairs)
-    full_edges = (1 << m) - 1
-    complete_ok = 1 if q * (n - 1) >= p else 0
-    sizes, edge_updates, full_index, scan_order = _induced_subset_tables(n)
-    comp = [_component_count_table(s) for s in range(n + 1)]
-    sub_tables = [comp[s] for s in sizes]
-    cut_weight = [q * (n - s) for s in sizes]  # q * |X| for S the surviving set
-    full_table = sub_tables[full_index]
-    ind = [0] * len(sizes)
-    table = bytearray(1 << m)
-
-    for mask in range(1 << m):
-        if mask:
-            changed = mask ^ (mask - 1)
+    k = n - 1  # vertices of G'; a row has 2^k entries, one per N
+    pairs = edge_pairs(k)
+    bit_of_pair = {uv: b for b, uv in enumerate(pairs)}
+    looks = []  # per S': induced mask of G'[S'] -> allowed-N integer
+    updates: list[list[tuple[int, int]]] = [[] for _ in pairs]
+    for sub in range(1, 1 << k):
+        verts = _mask_to_vertices(sub)
+        s = len(verts)
+        ids, parts = _partition_ids(s)
+        allowed = []
+        for comps in parts:
+            spread = [sum(1 << verts[i] for i in _mask_to_vertices(c)) for c in comps]
+            ok = 0
+            if len(comps) < 2 or q * (n - s) >= p * len(comps):
+                for nb in range(1 << k):
+                    w = 1 + sum(1 for c in spread if not c & nb)
+                    if w < 2 or q * (k - s) >= p * w:
+                        ok |= 1 << nb
+            allowed.append(ok)
+        for lb, (a, b) in enumerate(edge_pairs(s)):
+            updates[bit_of_pair[verts[a], verts[b]]].append((len(looks), 1 << lb))
+        looks.append([allowed[i] for i in ids])
+    ind = [0] * len(looks)
+    expanded: dict[int, bytes] = {}
+    rows = []
+    for m in range(1 << len(pairs)):
+        if m:
+            changed = m ^ (m - 1)
             while changed:
                 bit = changed & -changed
                 changed ^= bit
-                for idx, lb in edge_updates[bit.bit_length() - 1]:
+                for idx, lb in updates[bit.bit_length() - 1]:
                     ind[idx] ^= lb
-        if mask == full_edges:
-            table[mask] = complete_ok  # tau(K_n) = n - 1 by convention
-            continue
-        em = mask
-        while em:
-            bit = em & -em
-            em ^= bit
-            if table[mask ^ bit]:
-                table[mask] = 1  # a tough subgraph certifies the supergraph
+        r = -1  # every N allowed until some S' rules it out
+        for look, i in zip(looks, ind):
+            r &= look[i]
+            if not r:
                 break
-        else:
-            if full_table[ind[full_index]] >= 2:
-                continue  # disconnected: empty cutset violates for any t > 0
-            for idx in scan_order:
-                w = sub_tables[idx][ind[idx]]
-                if w >= 2 and cut_weight[idx] < p * w:
-                    break
-            else:
-                table[mask] = 1
+        row = expanded.get(r)
+        if row is None:
+            row = expanded[r] = bytes(r >> nb & 1 for nb in range(1 << k))
+        rows.append(row)
+    table = bytearray(b"".join(rows))
+    table[-1] = 1 if q * (n - 1) >= p else 0  # tau(K_n) = n - 1 by convention
     return bytes(table)
 
 

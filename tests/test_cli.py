@@ -149,6 +149,19 @@ def test_theorem_sweep_cap(capsys, monkeypatch):
     assert run(capsys, "theorem", "--t", "1", "--n", "6", "--best-monotone")[0] == 2
 
 
+def test_sweep_commands_below_two_vertices(capsys):
+    # K_1 is the only graph on one vertex and tau(K_1) = 0 is below every t > 0
+    assert run(capsys, "theorem", "--t", "1", "--n", "1", "--best-monotone") == (0, "false\n", "")
+    code, out, _ = run(capsys, "verify-optimality", "--condition", "d1>=1", "--k", "1", "--n", "1")
+    assert code == 0 and "majorizing sink: 0" in out
+    for n in ("0", "-3"):
+        for argv in (("theorem", "--t", "1", "--n", n, "--best-monotone"),
+                     ("verify-optimality", "--condition", "d1>=1", "--k", "1", "--n", n)):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_partitions_command(capsys):
     code, out, _ = run(capsys, "partitions", "--r", "5")
     assert code == 0 and out.strip() == "7"

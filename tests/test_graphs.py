@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -239,19 +240,47 @@ def test_forcibly_oracle_counterexample_deterministic():
 
 
 def test_tough_table_matches_direct_checks():
-    for n in (2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         for p, q in [(1, 1), (1, 2), (2, 1), (3, 2), (1, 3)]:
             table = tough_mask_table(n, p, q)
-            for mask in range(1 << len(edge_pairs(n))):
+            assert len(table) == 1 << len(edge_pairs(n))
+            for mask in range(len(table)):
                 g = Graph.from_mask(n, mask)
                 assert bool(table[mask]) == is_t_tough(g, Fraction(p, q))
     rng = random.Random(3)
-    for n, (p, q) in [(5, (1, 1)), (5, (1, 2)), (6, (1, 1)), (6, (2, 1))]:
+    for n, (p, q) in [(6, (1, 1)), (6, (2, 1))]:
         table = tough_mask_table(n, p, q)
         for _ in range(120):
             mask = rng.getrandbits(len(edge_pairs(n)))
             g = Graph.from_mask(n, mask)
             assert bool(table[mask]) == is_t_tough(g, Fraction(p, q))
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            tough_mask_table(n, 1, 1)
+
+
+# (count of tough graphs, SHA-256 of the table) at n = 7, recorded from the
+# earlier fill that settled one mask at a time
+N7_TABLES = {
+    (1, 3): (1859179, "ab97fcbe0f5786f8bc43e6003d0a2c2e573757d4ed365b4cfc3e1638554480b0"),
+    (1, 2): (1765372, "b3dc83605b8e631c58b780fa975c4f3dd584f97662687d87b7da048b4c27a583"),
+    (2, 3): (1011906, "9382486a764f96c71982b20963970e13f9ec73e7a02c4832280255736b66b36d"),
+    (3, 4): (923916, "437cf58e56b0d88d5256a142d65c1576654295f9da1a096fdeca0ebe97fc0e3e"),
+    (1, 1): (903476, "92602d243c7e67eeac1b6adf3e932bf24e93684c78ee46b3af2a8ccb7acd809e"),
+    (3, 2): (91431, "0722c3aa6f8127ded37eeeafbdb35fd50e8363dcc5a9b49b121c4c6722bfc6f5"),
+    (2, 1): (13696, "64c09f6d32955bf4b52351b20e1f3aeaed0916b6263b290221f7fece679eaa87"),
+}
+
+
+@pytest.mark.parametrize("p,q", sorted(N7_TABLES))
+def test_tough_table_n7_pinned(p, q):
+    table = tough_mask_table(7, p, q)
+    assert len(table) == 1 << 21
+    assert (table.count(1), hashlib.sha256(table).hexdigest()) == N7_TABLES[p, q]
+    rng = random.Random(7 * p + q)
+    for _ in range(200):
+        mask = rng.getrandbits(21)
+        assert bool(table[mask]) == is_t_tough(Graph.from_mask(7, mask), Fraction(p, q))
 
 
 def test_graph_file_round_trip(tmp_path):

@@ -203,11 +203,14 @@ def test_sink_violates_only_its_own_condition():
         rep = subposet_report(k, m=m, verify_claims=False)
         conds = generate_best_monotone(rep.sinks)
         pairs = list(zip(rep.sinks, conds))
+        # equivalent(a, b) compares canonical forms: canonicalize each condition once
+        canon = [canonicalize(cond) for cond in conds]
         for pi, own in pairs:
-            assert equivalent(own, blocking_condition(pi))
-            for sigma, cond in pairs:
+            blocking = canonicalize(blocking_condition(pi))
+            assert equivalent(own, blocking)
+            for (sigma, cond), canon_cond in zip(pairs, canon):
                 fails = not evaluate(cond, pi)
-                assert fails == equivalent(cond, blocking_condition(pi)), (k, m, pi, sigma)
+                assert fails == (canon_cond == blocking), (k, m, pi, sigma)
         # every generated condition is weakly optimal for the family sinks
         for cond in conds:
             assert is_weakly_optimal(cond, rep.sinks)
