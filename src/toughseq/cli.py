@@ -5,15 +5,16 @@ verify-optimality.  Every subcommand takes --json for a machine
 mirror of the text output (all JSON carries "schema": 1).
 
 Exit codes: 0 success / declared / true, 1 well-formed negative
-verdict, 2 usage or input error.  TOUGHSEQ_MAX_N caps the exhaustive
-sweep sizes (default 7).
+verdict, 2 usage or input error.  The exhaustive sweeps (theorem
+--best-monotone, verify-optimality without --family-sinks) stop at
+n = graphs.SWEEP_LIMIT = 7, and partitions --list at LIST_LIMIT
+partitions.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -32,20 +33,13 @@ from .conditions import (
     frontier_sequence,
     parse_condition,
 )
-from .graphs import read_graph, toughness
+from .graphs import SWEEP_LIMIT, read_graph, toughness
 from .partitions import count_partitions, enumerate_partitions
 from .sequences import NotGraphicalError, format_sequence, majorizes, parse_sequence
 from .subposet import generate_best_monotone, subposet_report, sweep_sinks
 
 SCHEMA = 1
-
-
-def _max_sweep_n() -> int:
-    raw = os.environ.get("TOUGHSEQ_MAX_N", "7")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"TOUGHSEQ_MAX_N must be an integer, got {raw!r}") from None
+LIST_LIMIT = 100_000  # partitions --list refuses larger counts; p(45) = 89,134 still lists
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -151,13 +145,11 @@ def cmd_theorem(args) -> int:
     t = parse_rational(args.t)
     n = args.n
     if args.best_monotone:
-        cap = _max_sweep_n()
-        if n > cap:
-            raise ValueError(f"best-monotone sweep limited to n <= {cap} (TOUGHSEQ_MAX_N)")
+        if n > SWEEP_LIMIT:
+            raise ValueError(f"best-monotone sweep limited to n <= {SWEEP_LIMIT}")
         if t <= 0:
             raise ValueError("t must be positive")
-        all_sinks, _ = sweep_sinks(n, t)
-        conds = generate_best_monotone(all_sinks)
+        conds = generate_best_monotone(sweep_sinks(n, t))
     else:
         if t < 1:
             raise ValueError("condition listing requires t >= 1; use --best-monotone for t < 1")
@@ -179,6 +171,8 @@ def cmd_partitions(args) -> int:
     payload = {"r": args.r, "max_parts": args.max_parts, "max_part": args.max_part,
                "count": count}
     if args.list:
+        if count > LIST_LIMIT:
+            raise ValueError(f"--list limited to {LIST_LIMIT} partitions, this query has {count}")
         parts = enumerate_partitions(args.r, max_parts=args.max_parts, max_part=args.max_part)
         lines.extend("+".join(map(str, lam)) if lam else "(empty)" for lam in parts)
         payload["partitions"] = parts
@@ -187,6 +181,8 @@ def cmd_partitions(args) -> int:
 
 
 def cmd_verify_optimality(args) -> int:
+    if args.k < 1:
+        raise ValueError("k must be >= 1")
     if args.n is not None:
         n = args.n
     elif args.m is not None:
@@ -199,12 +195,9 @@ def cmd_verify_optimality(args) -> int:
         sinks = tuple(subposet_report(args.k, n=n, verify_claims=False).sinks)
         source = "connected family"
     else:
-        cap = _max_sweep_n()
-        if n > cap:
-            raise ValueError(
-                f"sweep limited to n <= {cap} (TOUGHSEQ_MAX_N); pass --family-sinks for larger n"
-            )
-        sinks, _ = sweep_sinks(n, t)
+        if n > SWEEP_LIMIT:
+            raise ValueError(f"sweep limited to n <= {SWEEP_LIMIT}; pass --family-sinks for larger n")
+        sinks = sweep_sinks(n, t)
         source = "exhaustive sweep"
     frontier = frontier_sequence(cond)
     witness = next((s for s in sinks if majorizes(s, frontier)), None)

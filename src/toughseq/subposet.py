@@ -10,9 +10,10 @@ condition per sink yields a best monotone theorem, and the number of
 sinks lower-bounds the size of any such theorem.
 
 Disconnected edge-maximal graphs fall outside the family (their
-sequences contain no complete degree); ``sweep_sinks`` recovers them
-at small n by exhaustive graph enumeration so the two routes can be
-compared.
+sequences contain no complete degree).  ``sweep_sinks`` finds the sinks
+of every edge-maximal graph at small n by exhaustive graph enumeration;
+its sinks with a complete degree are the ones to compare with the
+family's.
 """
 
 from __future__ import annotations
@@ -147,57 +148,58 @@ def enumerate_family(k: int, n: int) -> list[FamilyMember]:
     return members
 
 
-def _dominates(a, b) -> bool:
-    for x, y in zip(a, b):
-        if x < y:
-            return False
-    return True
+def _maximal(seqs) -> list:
+    """Majorization-maximal elements of distinct, sorted, equal-length integer tuples.
+
+    Candidates go by decreasing entry sum: a strict majorizer has a
+    strictly larger sum, so by transitivity each candidate need only be
+    tested against the maxima found so far.  Each tuple is packed into
+    one integer of w-bit fields holding its entries minus the least
+    entry; the top bit of every field is a guard, clear in the packed
+    tuple.  Then a >= b entrywise iff ((a | guards) - b) & guards ==
+    guards: no field can borrow from the next, and a field keeps its
+    guard exactly when its entry of a is at least that of b.
+    """
+    order = sorted(seqs, key=sum, reverse=True)
+    if not order or not order[0]:
+        return order
+    lo = min(s[0] for s in order)
+    w = (max(s[-1] for s in order) - lo).bit_length() + 1
+    guards = sum(1 << (i * w + w - 1) for i in range(len(order[0])))
+    maxima: list = []
+    raised: list[int] = []  # packed maxima with every guard set
+    for seq in order:
+        packed = 0
+        for x in seq:
+            packed = packed << w | (x - lo)
+        for r in raised:
+            if (r - packed) & guards == guards:
+                break
+        else:
+            maxima.append(seq)
+            raised.append(packed | guards)
+    return maxima
 
 
 def compute_sinks(seqs) -> list:
     """Majorization-maximal elements, deduplicated, lexicographically sorted.
 
-    Processes candidates by decreasing entry sum: a strict majorizer
-    has a strictly larger sum, and transitivity lets each candidate be
-    tested against the maximal elements found so far only.  Inputs are
-    sorted nondecreasing; maximal elements come back as DegreeSequence
-    when the degree bounds hold, as plain tuples otherwise (the poset
-    machinery is generic over integer sequences).
+    Inputs are sorted nondecreasing and scanned once by ``_maximal``;
+    maximal elements come back as DegreeSequence when the degree bounds
+    hold, as plain tuples otherwise (the poset machinery is generic
+    over integer sequences).
     """
     uniq = {tuple(sorted(s)) for s in seqs}
-    if not uniq:
-        return []
     lengths = {len(s) for s in uniq}
     if len(lengths) > 1:
         raise ValueError(f"mixed sequence lengths: {sorted(lengths)}")
-    sinks: list[tuple[int, tuple]] = []
-    for seq in sorted(uniq, key=lambda s: (-sum(s), s)):
-        total = sum(seq)
-        if not any(s_total > total and _dominates(s, seq) for s_total, s in sinks):
-            sinks.append((total, seq))
     out = []
-    for seq in sorted(seq for _, seq in sinks):
+    for seq in sorted(_maximal(uniq)):
         try:
             out.append(DegreeSequence(seq))
         except ValueError:
             out.append(seq)
     return out
-
-
-def _claim2_no_internal_majorization(group_seqs) -> bool:
-    """No sequence in the group majorizes another (strict sum gap required)."""
-    by_sum: dict[int, list] = {}
-    for s in group_seqs:
-        by_sum.setdefault(sum(s), []).append(s)
-    sums = sorted(by_sum, reverse=True)
-    for hi_idx, hi in enumerate(sums):
-        highs = by_sum[hi]
-        for lo in sums[hi_idx + 1:]:
-            for b in by_sum[lo]:
-                for a in highs:
-                    if _dominates(a, b):
-                        return False
-    return True
 
 
 def subposet_report(k: int, m: int | None = None, n: int | None = None,
@@ -207,10 +209,14 @@ def subposet_report(k: int, m: int | None = None, n: int | None = None,
     Exactly one of m, n must be given; m means n = m(k+1).  The bound
     p(k-1) * n / (5(k+1)) is always computed but only asserted to hold
     (``bound_holds``) under its hypotheses k >= 2, n = m(k+1), m >= 9.
-    Claim verification (no majorization within a group; every sequence
-    whose largest noncomplete degree reaches n - k(j+1) is a sink) is
-    quadratic in group size and can be switched off for bulk counts.
+    Claim verification can be switched off for bulk counts.  Claim 2
+    (no majorization within a group) runs the sink scan on each group
+    and asks that every member come out maximal; Claim 3 (every
+    sequence whose largest noncomplete degree reaches n - k(j+1) is a
+    sink) is a lookup in the sinks already found.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if (m is None) == (n is None):
         raise ValueError("give exactly one of m, n")
     if m is not None:
@@ -238,10 +244,8 @@ def subposet_report(k: int, m: int | None = None, n: int | None = None,
     claim2: bool | None = None
     claim3: bool | None = None
     if verify_claims:
-        claim2 = all(
-            _claim2_no_internal_majorization([fm.degree_sequence for fm in by_group[j]])
-            for j in by_group
-        )
+        group_seqs = [[fm.degree_sequence for fm in grp] for grp in by_group.values()]
+        claim2 = all(len(_maximal(seqs)) == len(seqs) for seqs in group_seqs)
         sink_set = set(sinks)
         claim3 = all(
             fm.degree_sequence in sink_set
@@ -326,15 +330,11 @@ def edge_maximal_tough_sequences(n: int, t) -> tuple[DegreeSequence, ...]:
     return _edge_maximal_cached(n, t.numerator, t.denominator)
 
 
-def sweep_sinks(n: int, t):
+def sweep_sinks(n: int, t) -> tuple[DegreeSequence, ...]:
     """Sinks of the full t-tough subposet by exhaustive graph sweep.
 
-    Returns (all sinks, those containing a complete degree).  The
-    second component is the part comparable with the connected-family
-    enumeration; the first may additionally contain sequences realized
-    only by disconnected edge-maximal graphs.
+    The sinks with a complete degree are the ones comparable with the
+    connected-family enumeration; the others are realized only by
+    disconnected edge-maximal graphs.
     """
-    seqs = edge_maximal_tough_sequences(n, t)
-    sinks = tuple(compute_sinks(seqs))
-    with_complete = tuple(s for s in sinks if s[-1] == len(s) - 1)
-    return sinks, with_complete
+    return tuple(compute_sinks(edge_maximal_tough_sequences(n, t)))

@@ -142,11 +142,24 @@ def test_theorem_command(capsys):
     assert run(capsys, "theorem", "--t", "1/2", "--n", "6")[0] == 2  # t<1 needs sweep
 
 
-def test_theorem_sweep_cap(capsys, monkeypatch):
-    monkeypatch.setenv("TOUGHSEQ_MAX_N", "5")
-    assert run(capsys, "theorem", "--t", "1", "--n", "6", "--best-monotone")[0] == 2
-    monkeypatch.setenv("TOUGHSEQ_MAX_N", "banana")
-    assert run(capsys, "theorem", "--t", "1", "--n", "6", "--best-monotone")[0] == 2
+def test_theorem_sweep_cap(capsys):
+    for argv in (("theorem", "--t", "1", "--n", "8", "--best-monotone"),
+                 ("verify-optimality", "--condition", "d1>=1", "--k", "1", "--n", "8")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("sinks", "--k", "-1", "--n", "4"),
+    ("sinks", "--k", "0", "--m", "3"),
+    ("verify-optimality", "--condition", "d1>=1", "--k", "0", "--n", "4"),
+    ("verify-optimality", "--condition", "d1>=1", "--k", "-1", "--n", "4", "--family-sinks"),
+])
+def test_k_below_one_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: k must be >= 1\n"
 
 
 def test_sweep_commands_below_two_vertices(capsys):
@@ -179,6 +192,18 @@ def test_partitions_command(capsys):
     assert payload["count"] == 5
 
     assert run(capsys, "partitions", "--r", "-2")[0] == 2
+
+
+def test_partitions_list_limit(capsys):
+    # p(100) = 190,569,292 partitions are counted but never built
+    assert run(capsys, "partitions", "--r", "100") == (0, "190569292\n", "")
+    code, out, err = run(capsys, "partitions", "--r", "100", "--list")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # p(45) = 89,134 is under LIST_LIMIT, p(46) = 105,558 is over it
+    code, out, _ = run(capsys, "partitions", "--r", "45", "--list")
+    assert code == 0 and len(out.splitlines()) == 1 + 89134
+    assert run(capsys, "partitions", "--r", "46", "--list")[0] == 2
 
 
 def test_verify_optimality_command(capsys):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from toughseq.conditions import (
     evaluate,
     parse_condition,
 )
+from toughseq import subposet
+from toughseq.cli import main
 from toughseq.graphs import is_t_tough
 from toughseq.sequences import DegreeSequence, majorizes, parse_sequence
 from toughseq.subposet import (
@@ -106,6 +109,46 @@ def test_compute_sinks_properties():
             assert any(majorizes(sink, s) for sink in sinks)
 
 
+def test_compute_sinks_matches_brute_force():
+    # plain integer tuples: negative entries, entries above n - 1, very wide values
+    rng = random.Random(14)
+    assert compute_sinks([()]) == [()]
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        lo, hi = rng.choice([(0, n - 1), (-4, n + 4), (-10**6, 10**6), (10**6, 10**6 + 3)])
+        seqs = [tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(rng.randint(1, 40))]
+        pool = {tuple(sorted(s)) for s in seqs}
+        brute = sorted(a for a in pool
+                       if not any(b != a and majorizes(b, a) for b in pool))
+        sinks = compute_sinks(seqs)
+        assert [tuple(s) for s in sinks] == brute
+        for s in sinks:
+            in_range = s[0] >= 0 and s[-1] <= n - 1
+            assert isinstance(s, DegreeSequence) == in_range
+
+
+@pytest.mark.parametrize("claim", ["claim2", "claim3"])
+def test_broken_claims_are_reported(monkeypatch, capsys, claim):
+    # k = 1, n = 6: group j = 1 is 1 4^4 5 and 2^2 3^3 5, group j = 2 is 2^2 3^2 5^2
+    first, second, third = subposet.enumerate_family(1, 6)
+    assert (first.j, second.j, third.j) == (1, 1, 2)
+    if claim == "claim2":
+        # 0 4^4 5 lies below the other member of its group
+        second = replace(second, degree_sequence=parse_sequence("0 4^4 5"))
+    else:
+        # 1 4^5 lies below 1 4^4 5, yet its largest noncomplete degree qualifies it
+        assert third.parts[-1] + third.j - 1 >= 6 - (third.j + 1)
+        third = replace(third, degree_sequence=parse_sequence("1 4^5"))
+    monkeypatch.setattr(subposet, "enumerate_family", lambda k, n: [first, second, third])
+    rep = subposet_report(1, n=6)
+    assert rep.counts_match
+    assert getattr(rep, claim) is False
+    assert getattr(rep, "claim3" if claim == "claim2" else "claim2") is True
+    assert main(["sinks", "--k", "1", "--n", "6", "--verify-claims"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith(f"{claim} (") and line.endswith(": False") for line in lines)
+
+
 def test_report_small_cases():
     rep = subposet_report(2, m=9)
     assert rep.n == 27 and rep.m == 9
@@ -177,8 +220,7 @@ def test_generated_theorem_declares_exactly_non_dominated():
 
 
 def test_best_monotone_from_sweep_matches_star1_at_n6():
-    all_sinks, _ = sweep_sinks(6, 1)
-    conds = generate_best_monotone(all_sinks)
+    conds = generate_best_monotone(sweep_sinks(6, 1))
     star = {canonicalize(c) for _, c in tough_ge1_conditions(1, 6)}
     assert set(conds) == star
 
@@ -189,7 +231,8 @@ def test_sink_soundness_family_vs_sweep():
         for n in range(k + 2, 8):
             family_sinks = compute_sinks(
                 [fm.degree_sequence for fm in enumerate_family(k, n)])
-            all_sinks, with_complete = sweep_sinks(n, Fraction(1, k))
+            all_sinks = sweep_sinks(n, Fraction(1, k))
+            with_complete = tuple(s for s in all_sinks if s[-1] == n - 1)
             assert tuple(family_sinks) == with_complete, (k, n)
             # disconnected-only sinks are reported alongside, never hidden
             extra = set(all_sinks) - set(with_complete)
@@ -226,7 +269,7 @@ def test_is_weakly_optimal_examples():
     # against the true 1-tough sink set at n=6 the bare clause is still not
     # weakly optimal, but the full two-clause condition is: its frontier is
     # the sink 1 4^4 5 itself
-    all_sinks, _ = sweep_sinks(6, 1)
+    all_sinks = sweep_sinks(6, 1)
     assert not is_weakly_optimal(parse_condition("d1>=2", 6), all_sinks)
     full = parse_condition("d1>=2 | d5>=5", 6)
     from toughseq.conditions import frontier_sequence
