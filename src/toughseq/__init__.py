@@ -39,7 +39,6 @@ from .graphs import (
     is_t_tough,
     is_hamiltonian,
     is_k_connected,
-    forcibly_oracle,
     parse_graph,
     read_graph,
     graph_to_json,
@@ -48,7 +47,6 @@ from .partitions import (
     count_partitions,
     enumerate_partitions,
     partition_function,
-    conjugate_equivalence_check,
     claim4_identity,
 )
 from .checkers import (
@@ -67,6 +65,8 @@ from .subposet import (
     FamilyMember,
     GroupStat,
     SinkReport,
+    family,
+    family_size,
     enumerate_family,
     compute_sinks,
     subposet_report,

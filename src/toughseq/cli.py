@@ -5,10 +5,11 @@ verify-optimality.  Every subcommand takes --json for a machine
 mirror of the text output (all JSON carries "schema": 1).
 
 Exit codes: 0 success / declared / true, 1 well-formed negative
-verdict, 2 usage or input error.  The exhaustive sweeps (theorem
---best-monotone, verify-optimality without --family-sinks) stop at
-n = graphs.SWEEP_LIMIT = 7, and partitions --list at LIST_LIMIT
-partitions.
+verdict, 2 usage or input error.  theorem --best-monotone and
+verify-optimality take the sinks of all non-t-tough graphs from the
+closed-form family of subposet.family at any n, and refuse a query
+whose family, counted up front, exceeds FAMILY_LIMIT members;
+partitions --list refuses more than LIST_LIMIT partitions.
 """
 
 from __future__ import annotations
@@ -33,13 +34,16 @@ from .conditions import (
     frontier_sequence,
     parse_condition,
 )
-from .graphs import SWEEP_LIMIT, read_graph, toughness
+from .graphs import read_graph, toughness
 from .partitions import count_partitions, enumerate_partitions
 from .sequences import NotGraphicalError, format_sequence, majorizes, parse_sequence
-from .subposet import generate_best_monotone, subposet_report, sweep_sinks
+from .subposet import family_size, generate_best_monotone, subposet_report, sweep_sinks
 
 SCHEMA = 1
 LIST_LIMIT = 100_000  # partitions --list refuses larger counts; p(45) = 89,134 still lists
+# theorem --best-monotone and verify-optimality refuse larger families
+# (counted before any is built); n = 60 at t = 1/2 has 174,397 members
+FAMILY_LIMIT = 200_000
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -49,6 +53,11 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     else:
         for line in text_lines:
             print(line)
+
+
+def _check_family_size(n: int, t: Fraction) -> None:
+    if family_size(n, t, FAMILY_LIMIT) is None:
+        raise ValueError(f"family limited to {FAMILY_LIMIT} members; n = {n} at t = {t} has more")
 
 
 def cmd_check(args) -> int:
@@ -145,10 +154,7 @@ def cmd_theorem(args) -> int:
     t = parse_rational(args.t)
     n = args.n
     if args.best_monotone:
-        if n > SWEEP_LIMIT:
-            raise ValueError(f"best-monotone sweep limited to n <= {SWEEP_LIMIT}")
-        if t <= 0:
-            raise ValueError("t must be positive")
+        _check_family_size(n, t)
         conds = generate_best_monotone(sweep_sinks(n, t))
     else:
         if t < 1:
@@ -189,14 +195,13 @@ def cmd_verify_optimality(args) -> int:
         n = args.m * (args.k + 1)
     else:
         raise ValueError("give --n or --m")
-    cond = canonicalize(parse_condition(args.condition, n))
     t = Fraction(1, args.k)
+    _check_family_size(n, t)
+    cond = canonicalize(parse_condition(args.condition, n))
     if args.family_sinks:
         sinks = tuple(subposet_report(args.k, n=n, verify_claims=False).sinks)
         source = "connected family"
     else:
-        if n > SWEEP_LIMIT:
-            raise ValueError(f"sweep limited to n <= {SWEEP_LIMIT}; pass --family-sinks for larger n")
         sinks = sweep_sinks(n, t)
         source = "exhaustive sweep"
     frontier = frontier_sequence(cond)
@@ -262,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_thm.add_argument("--t", required=True, metavar="P/Q")
     p_thm.add_argument("--n", type=int, required=True)
     p_thm.add_argument("--best-monotone", action="store_true",
-                       help="derive conditions from the sinks of an exhaustive sweep (small n)")
+                       help="derive conditions from the sinks of all non-t-tough graphs "
+                            f"(closed-form family, at most {FAMILY_LIMIT} members)")
     p_thm.add_argument("--json", action="store_true")
     p_thm.set_defaults(func=cmd_theorem)
 
@@ -281,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--n", type=int)
     p_opt.add_argument("--m", type=int, help="n = m(k+1)")
     p_opt.add_argument("--family-sinks", action="store_true",
-                       help="use connected-family sinks instead of the exhaustive sweep")
+                       help="use the sinks of connected graphs only instead of all graphs")
     p_opt.add_argument("--json", action="store_true")
     p_opt.set_defaults(func=cmd_verify_optimality)
 

@@ -42,14 +42,12 @@ __all__ = [
     "is_t_tough",
     "is_hamiltonian",
     "is_k_connected",
-    "forcibly_oracle",
     "parse_graph",
     "read_graph",
     "graph_to_json",
     "edge_pairs",
     "iter_labeled_graphs",
     "tough_mask_table",
-    "graphical_sequences_by_sweep",
 ]
 
 MAX_VERTICES = 24          # construction limit: beyond this nothing here is exact-sweep friendly
@@ -331,8 +329,8 @@ def iter_labeled_graphs(n: int):
     edge and the rows/degrees update in O(1).  The yielded lists are
     shared and mutated in place: consume, don't store.
     """
-    if n > SWEEP_LIMIT + 1:  # 2^28 masks at n = 8 is already hours of work
-        raise ValueError(f"labeled sweep limited to n <= {SWEEP_LIMIT + 1}")
+    if n > SWEEP_LIMIT:
+        raise ValueError(f"labeled sweep limited to n <= {SWEEP_LIMIT}")
     pairs = edge_pairs(n)
     m = len(pairs)
     rows = [0] * n
@@ -457,37 +455,6 @@ def tough_mask_table(n: int, p: int, q: int) -> bytes:
     table = bytearray(b"".join(rows))
     table[-1] = 1 if q * (n - 1) >= p else 0  # tau(K_n) = n - 1 by convention
     return bytes(table)
-
-
-@lru_cache(maxsize=None)
-def graphical_sequences_by_sweep(n: int) -> frozenset:
-    """Degree multisets realized by at least one labeled graph on n vertices."""
-    seen = set()
-    for _, _, degs in iter_labeled_graphs(n):
-        seen.add(tuple(sorted(degs)))
-    return frozenset(seen)
-
-
-def forcibly_oracle(seq, predicate, limit: int = SWEEP_LIMIT):
-    """Test whether every labeled realization of seq satisfies the predicate.
-
-    Returns (True, None) or (False, counterexample); counterexamples
-    are deterministic (lowest edge-mask realization that fails).  The
-    sweep is exhaustive over labeled graphs, so seq must be small.
-    """
-    n = len(seq)
-    if n > limit:
-        raise ValueError(f"forcibly oracle limited to n <= {limit}")
-    target = tuple(seq)
-    matches = [mask for mask, _, degs in iter_labeled_graphs(n)
-               if tuple(sorted(degs)) == target]
-    if not matches:
-        raise ValueError(f"sequence {target} is not graphical")
-    for mask in sorted(matches):
-        g = Graph.from_mask(n, mask)
-        if not predicate(g):
-            return False, g
-    return True, None
 
 
 def parse_graph(text: str) -> Graph:

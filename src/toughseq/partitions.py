@@ -13,7 +13,6 @@ __all__ = [
     "count_partitions",
     "enumerate_partitions",
     "partition_function",
-    "conjugate_equivalence_check",
     "claim4_identity",
 ]
 
@@ -80,17 +79,6 @@ def enumerate_partitions(r: int, max_parts: int | None = None, max_part: int | N
             acc.append(part)
             remaining -= part
             trial.append(min(part, remaining))
-
-
-def conjugate_equivalence_check(r: int, limit: int) -> bool:
-    """True iff #partitions(r, at most `limit` parts) == #partitions(r, parts <= `limit`).
-
-    Conjugation swaps the two constraints, so this holds for all r,
-    limit >= 0; the check exercises both counting routes.
-    """
-    if r < 0 or limit < 0:
-        raise ValueError("arguments must be >= 0")
-    return count_partitions(r, max_parts=limit) == count_partitions(r, max_part=limit)
 
 
 def claim4_identity(k: int, big_n: int) -> bool:

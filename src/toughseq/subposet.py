@@ -1,19 +1,15 @@
-"""Sink enumeration for the 1/k-tough subposet and best monotone generation.
+"""Sink enumeration for toughness subposets and best monotone generation.
 
-The connected graphs on n vertices that are edge-maximally not
-1/k-tough all have the shape K_j + (K_{c_1} u ... u K_{c_{kj+1}})
-with j(k+1) < n and the c's a partition of n-j into exactly kj+1
-positive parts.  Their degree sequences, grouped by the number j of
-complete degrees (entries equal to n-1), form the family enumerated
-here.  Sinks are the majorization-maximal sequences; one Chvatal-type
-condition per sink yields a best monotone theorem, and the number of
-sinks lower-bounds the size of any such theorem.
-
-Disconnected edge-maximal graphs fall outside the family (their
-sequences contain no complete degree).  ``sweep_sinks`` finds the sinks
-of every edge-maximal graph at small n by exhaustive graph enumeration;
-its sinks with a complete degree are the ones to compare with the
-family's.
+If tau(G) < t, a cutset X of size x leaves w > x/t components, so G
+spans K_x + (K_{c_1} u ... u K_{c_w}) on them, whose degree sequence
+majorizes G's; merging cliques only raises degrees, down to
+w = max(2, floor(x/t) + 1).  So the sinks (majorization-maximal
+sequences) of all non-t-tough graphs are those of the closed-form
+``family(n, t)``.  One Chvatal-type condition per sink yields a best
+monotone theorem, and the number of sinks lower-bounds its size.  The
+paper's 1/k family is the connected slice x = j >= 1, grouped by j in
+``enumerate_family``; the exhaustive labeled-graph sweep
+(``edge_maximal_tough_sequences``, small n) stays as the oracle.
 """
 
 from __future__ import annotations
@@ -31,6 +27,8 @@ __all__ = [
     "FamilyMember",
     "GroupStat",
     "SinkReport",
+    "family",
+    "family_size",
     "enumerate_family",
     "compute_sinks",
     "subposet_report",
@@ -119,33 +117,69 @@ class SinkReport:
         }
 
 
+def _terms(n: int, t, start: int):
+    """(x, w) for x = start, start+1, ... while x + w <= n, w = max(2, floor(x/t) + 1)."""
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    x = start
+    while (w := max(2, x * t.denominator // t.numerator + 1)) + x <= n:
+        yield x, w
+        x += 1
+
+
+def family(n: int, t, start: int = 0):
+    """Yield (x, parts, degrees) for every K_x + (K_{c_1} u ... u K_{c_w}), x >= start.
+
+    x ascending, then parts c_1 <= ... <= c_w lexicographic: the
+    partitions of n-x into exactly w = max(2, floor(x/t) + 1) parts
+    (of n-x-w into at most w, adding one to every slot).  degrees is the
+    sorted degree sequence as a tuple.  When n - 1 < t, K_n closes the
+    family as x = n-1, parts = (1,).
+    """
+    for x, w in _terms(n, t, start):
+        shapes = [tuple([1] * (w - len(lam)) + [c + 1 for c in reversed(lam)])
+                  for lam in enumerate_partitions(n - x - w, max_parts=w)]
+        for parts in sorted(shapes):
+            degrees = []
+            for c in parts:
+                degrees += [c + x - 1] * c
+            yield x, parts, tuple(degrees + [n - 1] * x)
+    if start <= n - 1 < t:
+        yield n - 1, (1,), (n - 1,) * n
+
+
+def family_size(n: int, t, limit: int) -> int | None:
+    """len(family(n, t)) from partition counts, or None once it passes limit.
+
+    Bounded work at any n: before count_partitions runs on a term, the
+    partitions of its r = n-x-w into at most min(w, 3) parts (closed
+    form) must still fit under the limit.
+    """
+    total = 1 if 0 < n < Fraction(t) + 1 else 0  # K_n
+    for x, w in _terms(n, t, 0):
+        r = n - x - w
+        if total + (r // 2 + 1 if w == 2 else ((r + 3) ** 2 + 6) // 12) > limit:
+            return None
+        total += count_partitions(r, max_parts=w)
+        if total > limit:
+            return None
+    return total if total <= limit else None
+
+
 def enumerate_family(k: int, n: int) -> list[FamilyMember]:
-    """All family members for (k, n), j ascending then parts lexicographic.
+    """The connected slice x = j >= 1 of ``family(n, 1/k)``, in the same order.
 
     For each j with j(k+1) < n, the partitions of n-j into exactly
-    kj+1 positive parts (equivalently, of n - j(k+1) - 1 into at most
-    kj+1 parts, adding one to every slot).  Too-small parameters give
-    an empty list, not an error.
+    kj+1 positive parts.  Too-small parameters give an empty list, not
+    an error.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    members = []
-    j = 1
-    while j * (k + 1) < n:
-        slots = k * j + 1
-        reduced = n - j * (k + 1) - 1
-        for lam in enumerate_partitions(reduced, max_parts=slots):
-            parts = tuple([1] * (slots - len(lam)) + [x + 1 for x in reversed(lam)])
-            entries = []
-            for c in parts:
-                entries.extend([c + j - 1] * c)
-            entries.extend([n - 1] * j)
-            members.append(FamilyMember(k, n, j, parts, DegreeSequence(entries)))
-        j += 1
-    members.sort(key=lambda fm: (fm.j, fm.parts))
-    return members
+    return [FamilyMember(k, n, j, parts, DegreeSequence(degrees))
+            for j, parts, degrees in family(n, Fraction(1, k), start=1)]
 
 
 def _maximal(seqs) -> list:
@@ -331,10 +365,12 @@ def edge_maximal_tough_sequences(n: int, t) -> tuple[DegreeSequence, ...]:
 
 
 def sweep_sinks(n: int, t) -> tuple[DegreeSequence, ...]:
-    """Sinks of the full t-tough subposet by exhaustive graph sweep.
+    """Sinks of all non-t-tough graphs on n vertices, at any n.
 
-    The sinks with a complete degree are the ones comparable with the
-    connected-family enumeration; the others are realized only by
-    disconnected edge-maximal graphs.
+    They equal the exhaustive sweep's sinks,
+    compute_sinks(edge_maximal_tough_sequences(n, t)): both that set and
+    ``family(n, t)`` consist of non-t-tough sequences and majorize every
+    non-t-tough sequence, so they share its maximal elements.  The sinks
+    without a complete degree come from x = 0, two disjoint cliques.
     """
-    return tuple(compute_sinks(edge_maximal_tough_sequences(n, t)))
+    return tuple(compute_sinks([degrees for _, _, degrees in family(n, t)]))

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toughseq.cli import main
 
@@ -138,16 +142,79 @@ def test_theorem_command(capsys):
     assert code == 0
     assert sorted(out.splitlines()) == ["d1>=2 | d5>=5", "d2>=3 | d4>=4"]
 
+    # past the labeled-graph sweep: 7,264 family members, 19 sinks, Chvatal's 19 conditions
+    code, out, _ = run(capsys, "theorem", "--t", "1", "--n", "40", "--best-monotone")
+    assert code == 0 and len(out.splitlines()) == 19
+    assert out == run(capsys, "theorem", "--t", "1", "--n", "40")[1]
+
     assert run(capsys, "theorem", "--t", "2", "--n", "3")[0] == 2  # below threshold
-    assert run(capsys, "theorem", "--t", "1/2", "--n", "6")[0] == 2  # t<1 needs sweep
+    assert run(capsys, "theorem", "--t", "1/2", "--n", "6")[0] == 2  # t<1 needs --best-monotone
 
 
 def test_theorem_sweep_cap(capsys):
-    for argv in (("theorem", "--t", "1", "--n", "8", "--best-monotone"),
-                 ("verify-optimality", "--condition", "d1>=1", "--k", "1", "--n", "8")):
+    # n = 8 is past the labeled-graph sweep but far below the family cap
+    code, out, _ = run(capsys, "theorem", "--t", "1", "--n", "8", "--best-monotone")
+    assert code == 0 and len(out.splitlines()) == 3
+    code, out, _ = run(capsys, "verify-optimality", "--condition", "d1>=1", "--k", "1", "--n", "8")
+    assert code in (0, 1) and "(sinks from exhaustive sweep: " in out
+    # n = 61 at t = 1/2 has 201,571 members, the first family above FAMILY_LIMIT
+    for argv in (("theorem", "--t", "1/2", "--n", "61", "--best-monotone"),
+                 ("verify-optimality", "--condition", "d1>=1", "--k", "2", "--n", "61"),
+                 ("verify-optimality", "--condition", "d1>=1", "--k", "2", "--n", "61",
+                  "--family-sinks")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+    # the cap is counted, not enumerated: refusing n = 10^9 takes bounded time
+    for argv in (("theorem", "--t", "1", "--n", "1000000000", "--best-monotone"),
+                 ("verify-optimality", "--condition", "d1>=1", "--k", "1", "--n", "1000000000")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and err.count("\n") == 1
+
+
+RATIONAL_TEXT = st.builds(
+    "{}/{}".format,
+    st.integers(-3, 12) | st.integers(-10**30, 10**30),
+    st.integers(0, 6) | st.integers(1, 10**30),
+)
+# accepted n stays small so every draw runs fast; large n must be refused by the cap
+VERTEX_COUNTS = st.integers(1, 12) | st.integers(-5, 12) | st.integers(10**6, 10**9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(["theorem", "verify-optimality", "family-sinks"]),
+    t=RATIONAL_TEXT | st.sampled_from(["1", "1/2", "2/3", "3/2", "7"]),
+    n=VERTEX_COUNTS,
+    k=st.integers(-2, 10),
+    condition=st.sampled_from(["d1>=1", "d2>=3 | d4>=4", "d1>=2 | d5>=5"]),
+    as_json=st.booleans(),
+)
+def test_sink_commands_fuzz(command, t, n, k, condition, as_json):
+    if command == "theorem":
+        argv = ["theorem", f"--t={t}", f"--n={n}", "--best-monotone"]
+    else:
+        argv = ["verify-optimality", "--condition", condition, f"--k={k}", f"--n={n}"]
+        if command == "family-sinks":
+            argv.append("--family-sinks")
+    if as_json:
+        argv.append("--json")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == "" and n <= 12
+    if code == 1:  # the one negative verdict these commands have
+        assert command != "theorem"
+        verdict = (json.loads(out.getvalue())["weakly_optimal"] is False if as_json
+                   else "weakly optimal: no" in out.getvalue())
+        assert verdict
 
 
 @pytest.mark.parametrize("argv", [
@@ -223,12 +290,13 @@ def test_verify_optimality_command(capsys):
     assert payload["weakly_optimal"] is True
     assert payload["majorizing_sink"] == [2, 2, 3, 3, 5, 5]
 
-    # family-sinks route works beyond the sweep cap
+    # family-sinks route works beyond n = 7
     code, _, _ = run(capsys, "verify-optimality", "--condition", "d2>=3",
                      "--k", "1", "--n", "12", "--family-sinks")
     assert code in (0, 1)
-    assert run(capsys, "verify-optimality", "--condition", "d2>=3",
-               "--k", "1", "--n", "12")[0] == 2  # over the cap without the flag
+    # and so does the all-graphs route, now that it reads the closed-form family
+    code, out, _ = run(capsys, "verify-optimality", "--condition", "d2>=3", "--k", "1", "--n", "12")
+    assert code in (0, 1) and "(sinks from exhaustive sweep: " in out
 
 
 CONDITIONS_N6_T1 = [

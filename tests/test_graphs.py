@@ -14,11 +14,11 @@ from toughseq.graphs import (
     components,
     edge_pairs,
     empty_graph,
-    forcibly_oracle,
     graph_to_json,
     is_hamiltonian,
     is_k_connected,
     is_t_tough,
+    iter_labeled_graphs,
     join,
     parse_graph,
     read_graph,
@@ -216,6 +216,25 @@ def test_cutset_engine_against_definitions():
             assert result == ToughnessResult(Fraction(n - 1), None, None), g
         assert is_t_tough(g, result.value)
         assert not is_t_tough(g, result.value + Fraction(1, n * n))
+
+
+def forcibly_oracle(seq, predicate):
+    """Whether every labeled realization of seq satisfies the predicate.
+
+    Returns (True, None) or (False, counterexample), the counterexample
+    being the failing realization with the lowest edge mask.
+    """
+    n = len(seq)
+    target = tuple(seq)
+    matches = [mask for mask, _, degs in iter_labeled_graphs(n)
+               if tuple(sorted(degs)) == target]
+    if not matches:
+        raise ValueError(f"sequence {target} is not graphical")
+    for mask in sorted(matches):
+        g = Graph.from_mask(n, mask)
+        if not predicate(g):
+            return False, g
+    return True, None
 
 
 def test_forcibly_oracle_examples():

@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from toughseq.partitions import (
     claim4_identity,
-    conjugate_equivalence_check,
     count_partitions,
     enumerate_partitions,
     partition_function,
@@ -59,6 +58,15 @@ def test_bound_monotonicity():
         assert counts == sorted(counts)
         assert count_partitions(r, max_parts=r) == partition_function(r)
         assert count_partitions(r, max_parts=r + 50) == partition_function(r)
+
+
+def conjugate_equivalence_check(r: int, limit: int) -> bool:
+    """#partitions(r, at most `limit` parts) == #partitions(r, parts <= `limit`).
+
+    Conjugation swaps the two constraints, so this holds for all r,
+    limit >= 0; the check exercises both counting routes.
+    """
+    return count_partitions(r, max_parts=limit) == count_partitions(r, max_part=limit)
 
 
 def test_conjugate_equivalence():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import all_valid_sequences, random_valid_sequence
-from toughseq.graphs import graphical_sequences_by_sweep
+from toughseq.graphs import iter_labeled_graphs
 from toughseq.sequences import (
     DegreeSequence,
     format_sequence,
@@ -101,6 +101,11 @@ def test_graphical_examples():
     assert is_graphical(DegreeSequence((2, 2, 3, 3, 3, 5)))
     assert is_graphical(DegreeSequence((0,)))
     assert is_graphical(DegreeSequence((0, 0, 0, 0)))
+
+
+def graphical_sequences_by_sweep(n: int) -> frozenset:
+    """Degree multisets realized by at least one labeled graph on n vertices."""
+    return frozenset(tuple(sorted(degs)) for _, _, degs in iter_labeled_graphs(n))
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -1,10 +1,11 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
-from toughseq.checkers import tough_ge1_conditions
+from toughseq.checkers import check_tough_ge1, check_tough_le1, tough_ge1_conditions
 from toughseq.conditions import (
     ChvatalCondition,
     blocking_condition,
@@ -15,12 +16,14 @@ from toughseq.conditions import (
 )
 from toughseq import subposet
 from toughseq.cli import main
-from toughseq.graphs import is_t_tough
+from toughseq.graphs import clique, is_t_tough, join, union
 from toughseq.sequences import DegreeSequence, majorizes, parse_sequence
 from toughseq.subposet import (
     compute_sinks,
     edge_maximal_tough_sequences,
     enumerate_family,
+    family,
+    family_size,
     generate_best_monotone,
     is_weakly_optimal,
     subposet_report,
@@ -83,6 +86,73 @@ def test_family_members_are_edge_maximal():
         swept = set(edge_maximal_tough_sequences(n, Fraction(1, k)))
         complete_degree_swept = {s for s in swept if s[-1] == n - 1}
         assert family_seqs == complete_degree_swept
+
+
+ORACLE_TS = [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(2, 3),
+             Fraction(3, 4), Fraction(1), Fraction(4, 3), Fraction(3, 2), Fraction(2),
+             Fraction(5, 2), Fraction(3), Fraction(7)]
+
+
+def test_family_sinks_equal_sweep_sinks():
+    # the closed-form family has the same sinks as the exhaustive labeled-graph sweep
+    cases = [(n, t) for n in range(1, 7) for t in ORACLE_TS] + [(7, Fraction(1, 2)), (7, Fraction(1))]
+    for n, t in cases:
+        assert sweep_sinks(n, t) == tuple(compute_sinks(edge_maximal_tough_sequences(n, t))), (n, t)
+
+
+def test_family_members_are_not_t_tough():
+    for n in range(1, 9):
+        for t in ORACLE_TS:
+            members = list(family(n, t))
+            assert family_size(n, t, 10**6) == family_size(n, t, len(members)) == len(members)
+            assert family_size(n, t, len(members) - 1) is None
+            assert [(x, parts) for x, parts, _ in members] == sorted(
+                {(x, parts) for x, parts, _ in members})
+            for x, parts, degrees in members:
+                assert sum(parts) + x == n and list(parts) == sorted(parts)
+                g = reduce(union, map(clique, parts))
+                if x:
+                    g = join(clique(x), g)
+                assert g.degree_sequence() == degrees
+                assert not is_t_tough(g, t), (n, t, x, parts)
+    assert list(family(1, Fraction(1, 3))) == [(0, (1,), (0,))]  # tau(K_1) = 0
+    assert [m[:2] for m in family(3, 3)] == [(0, (1, 2)), (1, (1, 1)), (2, (1,))]
+    for n, t in [(0, 1), (-3, 1), (4, 0), (4, Fraction(-1, 2))]:
+        with pytest.raises(ValueError):
+            list(family(n, t))
+        with pytest.raises(ValueError):
+            family_size(n, t, 100)
+
+
+def test_family_size_is_bounded_work_at_any_n():
+    # the x = 0 term alone has floor(n/2) members; larger terms are bounded before counting
+    assert family_size(10**9, 1, 200_000) is None
+    assert family_size(20_000, Fraction(1, 1000), 200_000) is None
+    assert family_size(400_000, Fraction(1, 10**9), 200_000) == 200_000
+    assert family_size(40, 1, 200_000) == 7264 and len(sweep_sinks(40, 1)) == 19
+    for n in (20, 31):
+        for t in ORACLE_TS:  # the pre-count bounds never refuse a family that fits
+            size = sum(1 for _ in family(n, t))
+            assert family_size(n, t, size) == size and family_size(n, t, size - 1) is None
+    assert family_size(60, Fraction(1, 2), 200_000) == 174_397
+    assert family_size(61, Fraction(1, 2), 10**6) == 201_571
+
+
+def test_best_monotone_equals_star_at_t1_past_the_sweep():
+    # at t = 1 the sink theorem is the paper's condition list, far beyond n = 7
+    for n in range(3, 31):
+        conds = generate_best_monotone(sweep_sinks(n, 1))
+        assert set(conds) == {canonicalize(c) for _, c in tough_ge1_conditions(1, n)}, n
+
+
+def test_paper_theorems_declare_no_sink_past_the_sweep():
+    # every sink is the degree sequence of a non-t-tough graph: a sound theorem declares none
+    for t in (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)):
+        for n in range(t.denominator // t.numerator + 2, 26):
+            for sink in sweep_sinks(n, t):
+                assert not check_tough_le1(sink, t).declared, (t, n, sink)
+                if t == 1:
+                    assert not check_tough_ge1(sink, t).declared, (n, sink)
 
 
 def test_compute_sinks_examples():
@@ -219,19 +289,13 @@ def test_generated_theorem_declares_exactly_non_dominated():
             assert declared == (not dominated)
 
 
-def test_best_monotone_from_sweep_matches_star1_at_n6():
-    conds = generate_best_monotone(sweep_sinks(6, 1))
-    star = {canonicalize(c) for _, c in tough_ge1_conditions(1, 6)}
-    assert set(conds) == star
-
-
 def test_sink_soundness_family_vs_sweep():
     # family sinks == sweep sinks restricted to complete-degree sequences
     for k in (1, 2):
         for n in range(k + 2, 8):
             family_sinks = compute_sinks(
                 [fm.degree_sequence for fm in enumerate_family(k, n)])
-            all_sinks = sweep_sinks(n, Fraction(1, k))
+            all_sinks = tuple(compute_sinks(edge_maximal_tough_sequences(n, Fraction(1, k))))
             with_complete = tuple(s for s in all_sinks if s[-1] == n - 1)
             assert tuple(family_sinks) == with_complete, (k, n)
             # disconnected-only sinks are reported alongside, never hidden
