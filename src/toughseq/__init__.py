@@ -62,7 +62,6 @@ from .checkers import (
     tough_le1_conditions,
 )
 from .subposet import (
-    FamilyMember,
     GroupStat,
     SinkReport,
     family,

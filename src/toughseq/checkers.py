@@ -5,6 +5,10 @@ returns a Verdict carrying the full tested condition set.  All index
 ranges with rational bounds are resolved by exact integer arithmetic
 on t = p/q; floating point would silently shift the boundary clauses.
 
+Chvatal's hamiltonian test is the t = 1 toughness test, and rule "ii"
+of the t <= 1 test is the Bondy-Boesch list at k = 1: each condition
+list has one implementation.
+
 The checkers are sound but not complete: a sequence that fails may
 still be forcibly P.  For the t >= 1 toughness checker the failure is
 constructive: the verdict carries a majorizing sequence together with
@@ -97,38 +101,22 @@ def _require_graphical(seq, allow_nongraphical: bool):
 
 
 def hamiltonian_conditions(n: int) -> list[tuple[int, ChvatalCondition]]:
-    """Chvatal's conditions (d_i >= i+1 or d_{n-i} >= n-i) for i < n/2."""
+    """Chvatal's conditions (d_i >= i+1 or d_{n-i} >= n-i) for i < n/2: the t = 1 list."""
     if n < 3:
         raise ValueError("hamiltonicity conditions need n >= 3")
-    return [
-        (i, ChvatalCondition(n, ((i, i + 1), (n - i, n - i))))
-        for i in range(1, (n - 1) // 2 + 1)
-    ]
+    return tough_ge1_conditions(1, n)
 
 
 def check_hamiltonian_chvatal(seq, allow_nongraphical: bool = False) -> Verdict:
-    """Chvatal's forcibly-hamiltonian test with constructive failure witness.
+    """Chvatal's forcibly-hamiltonian test, which is the t = 1 toughness test.
 
     On failure at index i the emitted sequence i^i (n-i-1)^(n-2i) (n-1)^i
     majorizes the input and is realized by K_i + (K~_i u K_{n-2i}),
     which is not hamiltonian.
     """
-    n = len(seq)
-    if n < 3:
+    if len(seq) < 3:
         raise ValueError("hamiltonicity requires n >= 3")
-    _require_graphical(seq, allow_nongraphical)
-    indexed = hamiltonian_conditions(n)
-    conds = tuple(c for _, c in indexed)
-    for i, cond in indexed:
-        if not evaluate(cond, seq):
-            blocking = DegreeSequence([i] * i + [n - i - 1] * (n - 2 * i) + [n - 1] * i)
-            graph = None
-            if n <= MAX_VERTICES:
-                graph = join(clique(i), union(empty_graph(i), clique(n - 2 * i)))
-            return Verdict(False, failing_index=i, blocking_sequence=blocking,
-                           blocking_shape=(i, i, n - 2 * i), blocking_graph=graph,
-                           condition_set=conds)
-    return Verdict(True, condition_set=conds)
+    return check_tough_ge1(seq, 1, allow_nongraphical)
 
 
 def kconnected_conditions(n: int, k: int) -> list[tuple[int, ChvatalCondition]]:
@@ -218,9 +206,7 @@ def tough_le1_conditions(t, n: int) -> list[tuple[str, int, ChvatalCondition]]:
     k = t.denominator // t.numerator  # floor(1/t)
     if n < k + 2:
         raise ValueError(f"need n >= floor(1/t)+2 = {k + 2}, got {n}")
-    out = []
-    for i in range(1, n // 2 + 1):
-        out.append(("ii", i, ChvatalCondition(n, ((i, i), (n, n - i)))))
+    out = [("ii", i, cond) for i, cond in kconnected_conditions(n, 1)]
     for i in range(k, (n + k - 2) // 2 + 1):  # largest i with 2i < n+k-1
         out.append(("i", i, ChvatalCondition(n, ((i, i - k + 2), (n - i + k - 1, n - i)))))
     return out

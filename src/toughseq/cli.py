@@ -9,7 +9,9 @@ verdict, 2 usage or input error.  theorem --best-monotone and
 verify-optimality take the sinks of all non-t-tough graphs from the
 closed-form family of subposet.family at any n, and refuse a query
 whose family, counted up front, exceeds FAMILY_LIMIT members;
-partitions --list refuses more than LIST_LIMIT partitions.
+partitions --list refuses more than LIST_LIMIT partitions; check and
+theorem refuse n above SEQUENCE_LIMIT, and partitions r above R_LIMIT,
+before allocating anything of that size.
 """
 
 from __future__ import annotations
@@ -36,11 +38,12 @@ from .conditions import (
 )
 from .graphs import read_graph, toughness
 from .partitions import count_partitions, enumerate_partitions
-from .sequences import NotGraphicalError, format_sequence, majorizes, parse_sequence
+from .sequences import SEQUENCE_LIMIT, NotGraphicalError, format_sequence, majorizes, parse_sequence
 from .subposet import family_size, generate_best_monotone, subposet_report, sweep_sinks
 
 SCHEMA = 1
 LIST_LIMIT = 100_000  # partitions --list refuses larger counts; p(45) = 89,134 still lists
+R_LIMIT = 10_000  # partitions refuses a larger r; r = 10,000 counts in about 5 s
 # theorem --best-monotone and verify-optimality refuse larger families
 # (counted before any is built); n = 60 at t = 1/2 has 174,397 members
 FAMILY_LIMIT = 200_000
@@ -159,6 +162,8 @@ def cmd_theorem(args) -> int:
     else:
         if t < 1:
             raise ValueError("condition listing requires t >= 1; use --best-monotone for t < 1")
+        if n > SEQUENCE_LIMIT:
+            raise ValueError(f"condition listing limited to n <= {SEQUENCE_LIMIT}, got n = {n}")
         conds = [canonicalize(c) for _, c in tough_ge1_conditions(t, n)]
     lines = [format_condition(c) for c in conds]
     payload = {
@@ -172,6 +177,8 @@ def cmd_theorem(args) -> int:
 
 
 def cmd_partitions(args) -> int:
+    if args.r > R_LIMIT:
+        raise ValueError(f"--r limited to {R_LIMIT}, got {args.r}")
     count = count_partitions(args.r, max_parts=args.max_parts, max_part=args.max_part)
     lines = [str(count)]
     payload = {"r": args.r, "max_parts": args.max_parts, "max_part": args.max_part,
@@ -198,8 +205,8 @@ def cmd_verify_optimality(args) -> int:
     t = Fraction(1, args.k)
     _check_family_size(n, t)
     cond = canonicalize(parse_condition(args.condition, n))
-    if args.family_sinks:
-        sinks = tuple(subposet_report(args.k, n=n, verify_claims=False).sinks)
+    if args.family_sinks:  # the sinks with a complete degree are the connected family's
+        sinks = tuple(s for s in sweep_sinks(n, t) if s[-1] == n - 1) if n >= 2 else ()
         source = "connected family"
     else:
         sinks = sweep_sinks(n, t)

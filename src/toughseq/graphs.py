@@ -468,7 +468,7 @@ def parse_graph(text: str) -> Graph:
             numbers = [n, *(x for e in edges for x in e)]
         except (KeyError, TypeError, ValueError):
             numbers = [None]
-        if not all(isinstance(x, int) for x in numbers):
+        if not all(isinstance(x, int) and not isinstance(x, bool) for x in numbers):
             raise ValueError('JSON graph must look like {"n": N, "edges": [[u, v], ...]}')
         return Graph(n, edges)
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]

@@ -16,7 +16,12 @@ __all__ = [
     "format_sequence",
     "is_graphical",
     "majorizes",
+    "SEQUENCE_LIMIT",
 ]
+
+# parse_sequence refuses longer sequences; the quadratic graphicality
+# test takes about 13 s at n = 10,000
+SEQUENCE_LIMIT = 10_000
 
 
 class NotGraphicalError(ValueError):
@@ -66,7 +71,8 @@ def parse_sequence(text: str) -> DegreeSequence:
 
     Tokens are ``d^m`` (the value d repeated m times, m >= 1) or a bare
     ``d``; commas count as separators.  Order of tokens is irrelevant
-    since the result is sorted.
+    since the result is sorted.  A sequence longer than SEQUENCE_LIMIT
+    is refused before the run that passes it is expanded.
     """
     tokens = text.replace(",", " ").split()
     if not tokens:
@@ -81,6 +87,8 @@ def parse_sequence(text: str) -> DegreeSequence:
             raise ValueError(f"malformed token {tok!r}") from None
         if mult < 1:
             raise ValueError(f"multiplicity must be >= 1 in token {tok!r}")
+        if len(entries) + mult > SEQUENCE_LIMIT:
+            raise ValueError(f"sequence limited to {SEQUENCE_LIMIT} entries; token {tok!r} passes it")
         entries.extend([value] * mult)
     return DegreeSequence(entries)
 

@@ -7,24 +7,27 @@ w = max(2, floor(x/t) + 1).  So the sinks (majorization-maximal
 sequences) of all non-t-tough graphs are those of the closed-form
 ``family(n, t)``.  One Chvatal-type condition per sink yields a best
 monotone theorem, and the number of sinks lower-bounds its size.  The
-paper's 1/k family is the connected slice x = j >= 1, grouped by j in
-``enumerate_family``; the exhaustive labeled-graph sweep
-(``edge_maximal_tough_sequences``, small n) stays as the oracle.
+paper's 1/k family is the connected slice x = j >= 1, the same
+(j, parts, degrees) tuples from ``enumerate_family``, grouped by j in
+``subposet_report``.  Its sinks are the sinks of ``family(n, 1/k)``
+that have a complete degree n - 1 (n >= 2): every x >= 1 member has
+one, and no x = 0 member can majorize one.  The exhaustive
+labeled-graph sweep (``edge_maximal_tough_sequences``, small n) stays
+as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .conditions import ChvatalCondition, blocking_condition, frontier_sequence
-from .graphs import Graph, clique, edge_pairs, join, tough_mask_table, union
+from .graphs import Graph, edge_pairs, tough_mask_table
 from .partitions import count_partitions, enumerate_partitions, partition_function
 from .sequences import DegreeSequence, majorizes
 
 __all__ = [
-    "FamilyMember",
     "GroupStat",
     "SinkReport",
     "family",
@@ -37,27 +40,6 @@ __all__ = [
     "edge_maximal_tough_sequences",
     "sweep_sinks",
 ]
-
-
-@dataclass(frozen=True)
-class FamilyMember:
-    """One connected edge-maximal non-(1/k)-tough graph, by shape.
-
-    ``parts`` holds the clique sizes c_1 <= ... <= c_{kj+1} summing to
-    n-j; the degree sequence is (c_s + j - 1) repeated c_s times per
-    clique plus n-1 repeated j times.
-    """
-
-    k: int
-    n: int
-    j: int
-    parts: tuple[int, ...]
-    degree_sequence: DegreeSequence
-
-    def realize(self) -> Graph:
-        """Build K_j + (K_{c_1} u ... u K_{c_{kj+1}}); small n only."""
-        inner = reduce(union, (clique(c) for c in self.parts))
-        return join(clique(self.j), inner)
 
 
 @dataclass(frozen=True)
@@ -169,8 +151,8 @@ def family_size(n: int, t, limit: int) -> int | None:
     return total if total <= limit else None
 
 
-def enumerate_family(k: int, n: int) -> list[FamilyMember]:
-    """The connected slice x = j >= 1 of ``family(n, 1/k)``, in the same order.
+def enumerate_family(k: int, n: int) -> list[tuple]:
+    """The connected slice x = j >= 1 of ``family(n, 1/k)`` as (j, parts, degrees).
 
     For each j with j(k+1) < n, the partitions of n-j into exactly
     kj+1 positive parts.  Too-small parameters give an empty list, not
@@ -178,8 +160,7 @@ def enumerate_family(k: int, n: int) -> list[FamilyMember]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return [FamilyMember(k, n, j, parts, DegreeSequence(degrees))
-            for j, parts, degrees in family(n, Fraction(1, k), start=1)]
+    return list(family(n, Fraction(1, k), start=1))
 
 
 def _maximal(seqs) -> list:
@@ -262,9 +243,9 @@ def subposet_report(k: int, m: int | None = None, n: int | None = None,
         m = n // (k + 1) if n % (k + 1) == 0 else None
 
     members = enumerate_family(k, n)
-    by_group: dict[int, list[FamilyMember]] = {}
-    for fm in members:
-        by_group.setdefault(fm.j, []).append(fm)
+    by_group: dict[int, list[tuple]] = {}
+    for j, _, degrees in members:
+        by_group.setdefault(j, []).append(degrees)
 
     groups = []
     for j in sorted(by_group):
@@ -272,19 +253,17 @@ def subposet_report(k: int, m: int | None = None, n: int | None = None,
         expected = count_partitions(reduced, max_parts=k * j + 1)
         groups.append(GroupStat(j, len(by_group[j]), expected, reduced))
 
-    all_seqs = [fm.degree_sequence for fm in members]
-    sinks = compute_sinks(all_seqs)
+    sinks = compute_sinks([degrees for _, _, degrees in members])
 
     claim2: bool | None = None
     claim3: bool | None = None
     if verify_claims:
-        group_seqs = [[fm.degree_sequence for fm in grp] for grp in by_group.values()]
-        claim2 = all(len(_maximal(seqs)) == len(seqs) for seqs in group_seqs)
+        claim2 = all(len(_maximal(seqs)) == len(seqs) for seqs in by_group.values())
         sink_set = set(sinks)
         claim3 = all(
-            fm.degree_sequence in sink_set
-            for fm in members
-            if fm.parts[-1] + fm.j - 1 >= n - k * (fm.j + 1)
+            degrees in sink_set
+            for j, parts, degrees in members
+            if parts[-1] + j - 1 >= n - k * (j + 1)
         )
 
     bound = Fraction(partition_function(k - 1) * n, 5 * (k + 1))
@@ -330,8 +309,17 @@ def is_weakly_optimal(cond: ChvatalCondition, sinks) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _edge_maximal_cached(n: int, p: int, q: int) -> tuple[DegreeSequence, ...]:
-    table = tough_mask_table(n, p, q)
+def edge_maximal_tough_sequences(n: int, t) -> tuple[DegreeSequence, ...]:
+    """Degree sequences of all edge-maximal non-t-tough graphs on n vertices.
+
+    Exhaustive over labeled graphs (small n only): a graph qualifies if
+    it is not t-tough but every single-edge supergraph is (the complete
+    graph qualifies vacuously when t > n-1).
+    """
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    table = tough_mask_table(n, t.numerator, t.denominator)
     full = (1 << len(edge_pairs(n))) - 1
     seqs = set()
     for mask in range(full + 1):
@@ -349,19 +337,6 @@ def _edge_maximal_cached(n: int, p: int, q: int) -> tuple[DegreeSequence, ...]:
         if maximal:
             seqs.add(Graph.from_mask(n, mask).degree_sequence())
     return tuple(sorted(seqs))
-
-
-def edge_maximal_tough_sequences(n: int, t) -> tuple[DegreeSequence, ...]:
-    """Degree sequences of all edge-maximal non-t-tough graphs on n vertices.
-
-    Exhaustive over labeled graphs (small n only): a graph qualifies if
-    it is not t-tough but every single-edge supergraph is (the complete
-    graph qualifies vacuously when t > n-1).
-    """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    return _edge_maximal_cached(n, t.numerator, t.denominator)
 
 
 def sweep_sinks(n: int, t) -> tuple[DegreeSequence, ...]:

@@ -14,7 +14,7 @@ from toughseq.checkers import (
     tough_ge1_conditions,
     tough_le1_conditions,
 )
-from toughseq.conditions import equivalent
+from toughseq.conditions import ChvatalCondition, equivalent
 from toughseq.graphs import is_t_tough, toughness
 from toughseq.sequences import DegreeSequence, NotGraphicalError, parse_sequence
 
@@ -92,11 +92,13 @@ def test_tough_ge1_examples():
 
 
 def test_tough_ge1_reduces_to_chvatal_at_t1():
+    # Chvatal's list as he states it: d_i >= i+1 or d_{n-i} >= n-i, for i < n/2
     for n in range(3, 21):
-        ham = hamiltonian_conditions(n)
-        star = tough_ge1_conditions(1, n)
-        assert [i for i, _ in ham] == [i for i, _ in star]
-        assert all(equivalent(c1, c2) for (_, c1), (_, c2) in zip(ham, star))
+        chvatal = [(i, ChvatalCondition(n, ((i, i + 1), (n - i, n - i))))
+                   for i in range(1, (n - 1) // 2 + 1)]
+        for listed in (hamiltonian_conditions(n), tough_ge1_conditions(1, n)):
+            assert [i for i, _ in listed] == [i for i, _ in chvatal]
+            assert all(equivalent(c1, c2) for (_, c1), (_, c2) in zip(listed, chvatal))
 
 
 def test_tough_ge1_condition_ranges():

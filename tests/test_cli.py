@@ -261,6 +261,26 @@ def test_partitions_command(capsys):
     assert run(capsys, "partitions", "--r", "-2")[0] == 2
 
 
+def test_size_caps_refuse_before_allocating(capsys):
+    # each of these would allocate about 10^9 entries; the refusal is immediate
+    for argv in (("check", "--tough", "1", "--seq", "1^1000000000"),
+                 ("check", "--hamiltonian", "--seq", "4^10000 4"),
+                 ("theorem", "--t", "1", "--n", "1000000000"),
+                 ("theorem", "--t", "1", "--n", "10001"),
+                 ("partitions", "--r", "1000000000"),
+                 ("partitions", "--r", "10001", "--max-parts", "1")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    # the caps themselves still run (graphicality alone would take seconds at n = 10^4)
+    assert run(capsys, "check", "--tough", "1", "--seq", "9999^10000",
+               "--allow-nongraphical")[0] == 0
+    assert len(run(capsys, "theorem", "--t", "1", "--n", "10000")[1].splitlines()) == 4999
+    assert run(capsys, "partitions", "--r", "10000", "--max-parts", "1") == (0, "1\n", "")
+
+
 def test_partitions_list_limit(capsys):
     # p(100) = 190,569,292 partitions are counted but never built
     assert run(capsys, "partitions", "--r", "100") == (0, "190569292\n", "")
@@ -327,6 +347,29 @@ PINNED_JSON = [
     (["theorem", "--t", "1", "--n", "6"], 0, {
         "schema": 1, "t": {"num": 1, "den": 1}, "n": 6, "best_monotone": False,
         "conditions": CONDITIONS_N6_T1,
+    }),
+    (["check", "--hamiltonian", "--seq", "1 3^3 4"], 1, {
+        "schema": 1, "sequence": [1, 3, 3, 3, 4], "property": "forcibly hamiltonian",
+        "declared": False, "failing_index": 1, "failing_rule": None,
+        "blocking_sequence": [1, 3, 3, 3, 4],
+        "blocking_graph_spec": {
+            "join_clique": 1, "independent_set": 1, "clique": 3,
+            "text": "K_1 + (~K_1 u K_3)",
+            "graph": {"n": 5, "edges": [[0, 1], [0, 2], [0, 3], [0, 4], [2, 3], [2, 4],
+                                        [3, 4]]},
+        },
+        "conditions": [
+            {"n": 5, "clauses": [[1, 2], [4, 4]], "text": "d1>=2 | d4>=4"},
+            {"n": 5, "clauses": [[2, 3], [3, 3]], "text": "d2>=3 | d3>=3"},
+        ],
+    }),
+    (["verify-optimality", "--condition", "d4>=3 | d7>=5", "--k", "2", "--n", "9",
+      "--family-sinks"], 0, {
+        "schema": 1,
+        "condition": {"n": 9, "clauses": [[4, 3], [7, 5]], "text": "d4>=3 | d7>=5"},
+        "k": 2, "sink_source": "connected family", "sink_count": 6,
+        "frontier": [2, 2, 2, 2, 4, 4, 4, 8, 8], "weakly_optimal": True,
+        "majorizing_sink": [2, 2, 2, 2, 4, 4, 4, 8, 8],
     }),
 ]
 

@@ -323,6 +323,12 @@ def test_parse_graph_rejects_json_edges_not_a_list():
         parse_graph(json.dumps({"n": 3, "edges": 5}))
 
 
+def test_parse_graph_rejects_json_booleans():
+    for data in ({"n": True, "edges": []}, {"n": 3, "edges": [[False, 1]]}):
+        with pytest.raises(ValueError, match="JSON graph"):
+            parse_graph(json.dumps(data))
+
+
 def test_parse_graph_errors():
     with pytest.raises(ValueError):
         parse_graph("")

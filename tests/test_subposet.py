@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 
@@ -32,8 +31,8 @@ from toughseq.subposet import (
 
 
 def test_family_k2_n27_group8():
-    members = [fm for fm in enumerate_family(2, 27) if fm.j == 8]
-    assert [fm.parts for fm in members] == [
+    members = [parts for j, parts, _ in enumerate_family(2, 27) if j == 8]
+    assert members == [
         tuple([1] * 16 + [3]),
         tuple([1] * 15 + [2, 2]),
     ]
@@ -42,18 +41,18 @@ def test_family_k2_n27_group8():
 def test_family_k1_n4():
     members = enumerate_family(1, 4)
     assert len(members) == 1
-    fm = members[0]
-    assert (fm.j, fm.parts) == (1, (1, 2))
-    assert fm.degree_sequence == (1, 2, 2, 3)
-    assert fm.realize().degree_sequence() == fm.degree_sequence
+    j, parts, degrees = members[0]
+    assert (j, parts) == (1, (1, 2))
+    assert degrees == (1, 2, 2, 3)
+    assert join(clique(j), reduce(union, map(clique, parts))).degree_sequence() == degrees
 
 
 def test_family_k2_n5():
     members = enumerate_family(2, 5)
     assert len(members) == 1
-    fm = members[0]
-    assert (fm.j, fm.parts) == (1, (1, 1, 2))
-    assert fm.degree_sequence == (1, 1, 2, 2, 4)
+    j, parts, degrees = members[0]
+    assert (j, parts) == (1, (1, 1, 2))
+    assert degrees == (1, 1, 2, 2, 4)
 
 
 def test_family_structure_invariants():
@@ -63,18 +62,18 @@ def test_family_structure_invariants():
         n = rng.randint(k + 2, 14)
         members = enumerate_family(k, n)
         seen = set()
-        for fm in members:
-            assert len(fm.parts) == k * fm.j + 1
-            assert sum(fm.parts) == n - fm.j
-            assert all(c >= 1 for c in fm.parts)
-            assert fm.j * (k + 1) < n
+        for j, parts, degrees in members:
+            assert len(parts) == k * j + 1
+            assert sum(parts) == n - j
+            assert all(c >= 1 for c in parts)
+            assert j * (k + 1) < n
             # exactly j complete degrees
-            assert sum(1 for d in fm.degree_sequence if d == n - 1) == fm.j
-            assert fm.degree_sequence not in seen
-            seen.add(fm.degree_sequence)
+            assert sum(1 for d in degrees if d == n - 1) == j
+            assert degrees not in seen
+            seen.add(degrees)
             if n <= 10:
-                g = fm.realize()
-                assert g.degree_sequence() == fm.degree_sequence
+                g = join(clique(j), reduce(union, map(clique, parts)))
+                assert g.degree_sequence() == degrees
                 assert not is_t_tough(g, Fraction(1, k))
     assert enumerate_family(3, 4) == []  # too small: empty, not an error
 
@@ -82,7 +81,7 @@ def test_family_structure_invariants():
 def test_family_members_are_edge_maximal():
     # each realization is edge-maximally non-(1/k)-tough per the sweep
     for k, n in [(1, 5), (1, 6), (2, 6)]:
-        family_seqs = {fm.degree_sequence for fm in enumerate_family(k, n)}
+        family_seqs = {degrees for _, _, degrees in enumerate_family(k, n)}
         swept = set(edge_maximal_tough_sequences(n, Fraction(1, k)))
         complete_degree_swept = {s for s in swept if s[-1] == n - 1}
         assert family_seqs == complete_degree_swept
@@ -201,14 +200,15 @@ def test_compute_sinks_matches_brute_force():
 def test_broken_claims_are_reported(monkeypatch, capsys, claim):
     # k = 1, n = 6: group j = 1 is 1 4^4 5 and 2^2 3^3 5, group j = 2 is 2^2 3^2 5^2
     first, second, third = subposet.enumerate_family(1, 6)
-    assert (first.j, second.j, third.j) == (1, 1, 2)
+    assert (first[0], second[0], third[0]) == (1, 1, 2)
     if claim == "claim2":
         # 0 4^4 5 lies below the other member of its group
-        second = replace(second, degree_sequence=parse_sequence("0 4^4 5"))
+        second = (*second[:2], tuple(parse_sequence("0 4^4 5")))
     else:
         # 1 4^5 lies below 1 4^4 5, yet its largest noncomplete degree qualifies it
-        assert third.parts[-1] + third.j - 1 >= 6 - (third.j + 1)
-        third = replace(third, degree_sequence=parse_sequence("1 4^5"))
+        j, parts, _ = third
+        assert parts[-1] + j - 1 >= 6 - (j + 1)
+        third = (j, parts, tuple(parse_sequence("1 4^5")))
     monkeypatch.setattr(subposet, "enumerate_family", lambda k, n: [first, second, third])
     rep = subposet_report(1, n=6)
     assert rep.counts_match
@@ -294,7 +294,7 @@ def test_sink_soundness_family_vs_sweep():
     for k in (1, 2):
         for n in range(k + 2, 8):
             family_sinks = compute_sinks(
-                [fm.degree_sequence for fm in enumerate_family(k, n)])
+                [degrees for _, _, degrees in enumerate_family(k, n)])
             all_sinks = tuple(compute_sinks(edge_maximal_tough_sequences(n, Fraction(1, k))))
             with_complete = tuple(s for s in all_sinks if s[-1] == n - 1)
             assert tuple(family_sinks) == with_complete, (k, n)
