@@ -9,6 +9,8 @@ verdict, 2 usage or input error.  theorem --best-monotone and
 verify-optimality take the sinks of all non-t-tough graphs from the
 closed-form family of subposet.family at any n, and refuse a query
 whose family, counted up front, exceeds FAMILY_LIMIT members;
+sinks refuses the same oversized families (of family(n, 1/k)) and
+k - 1 above R_LIMIT, since its bound counts the partitions of k - 1;
 partitions --list refuses more than LIST_LIMIT partitions; check and
 theorem refuse n above SEQUENCE_LIMIT, and partitions r above R_LIMIT,
 before allocating anything of that size.
@@ -44,7 +46,7 @@ from .subposet import family_size, generate_best_monotone, subposet_report, swee
 SCHEMA = 1
 LIST_LIMIT = 100_000  # partitions --list refuses larger counts; p(45) = 89,134 still lists
 R_LIMIT = 10_000  # partitions refuses a larger r; r = 10,000 counts in about 5 s
-# theorem --best-monotone and verify-optimality refuse larger families
+# theorem --best-monotone, verify-optimality and sinks refuse larger families
 # (counted before any is built); n = 60 at t = 1/2 has 174,397 members
 FAMILY_LIMIT = 200_000
 
@@ -120,6 +122,12 @@ def cmd_toughness(args) -> int:
 
 
 def cmd_sinks(args) -> int:
+    k, m = args.k, args.m
+    if k >= 1 and (m is None or m >= 1):  # else subposet_report names the bad k or m
+        # family_size refuses n < 1 with the message subposet_report gives
+        _check_family_size(args.n if m is None else m * (k + 1), Fraction(1, k))
+        if k - 1 > R_LIMIT:  # the bound's p(k - 1) takes O(k^2) time and O(k) space
+            raise ValueError(f"--k limited to {R_LIMIT + 1}, got {k}")
     report = subposet_report(args.k, m=args.m, n=args.n,
                              verify_claims=args.verify_claims)
     lines = [

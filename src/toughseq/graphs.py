@@ -8,7 +8,11 @@ enumeration cheap at oracle scale.  All toughness values are exact
 One cutset scan, ``_cutsets``, serves ``toughness``, ``is_t_tough``
 and ``is_k_connected``: it yields (X, omega(G - X)) for every cutset X
 by size, then lexicographically, and each caller supplies the size at
-which to stop.  ``tough_mask_table`` is the only other cutset loop.
+which to stop.  It is the only cutset loop: ``tough_mask_table`` reads
+toughness off the definition instead, since a graph is not t-tough
+exactly when it spans some labeled K_X + (K_B1 u ... u K_Bw) with
+w = max(2, floor(|X|/t) + 1), so the non-t-tough masks are the
+down-closure of those few graphs' masks.
 
 Exhaustive sweeps enumerate every labeled graph on n vertices (all
 2^(n(n-1)/2) edge masks).  Edge bit b of a mask encodes the pair
@@ -200,15 +204,6 @@ def components(g: Graph) -> int:
     return _count_components(g.rows, (1 << g.n) - 1)
 
 
-def _mask_to_vertices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        out.append(b.bit_length() - 1)
-    return tuple(out)
-
-
 def _cutsets(g: Graph, stop):
     """Yield (X, omega(G - X)) for every cutset X of g (omega >= 2).
 
@@ -355,34 +350,26 @@ def iter_labeled_graphs(n: int):
         yield gray, rows, degs
 
 
-@lru_cache(maxsize=None)
-def _partition_ids(s: int):
-    """Component partitions of every labeled graph on s >= 1 vertices.
+def _blocks(rest: int, w: int):
+    """Yield every split of the vertex bitmask rest into exactly w nonempty blocks.
 
-    Returns (ids, parts): ids[mask] indexes parts, sorted tuples of
-    component bitmasks.  Same peeling as ``tough_mask_table``: G's
-    components are those of G' = G - 0 that N misses plus one holding 0
-    and all that N hits, so each partition of G' gives one 2^(s-1)-byte
-    row of ids.  Bell(6) = 203 ids fit a byte, which is why the row fill
-    (s <= n - 1) holds up to SWEEP_LIMIT = 7.
+    The lowest vertex of rest opens the first block; each subset of the
+    others joins it, and the rest is split into w - 1 blocks.
     """
-    if s == 1:
-        return b"\x00", ((1,),)
-    prev_ids, prev_parts = _partition_ids(s - 1)
-    index: dict[tuple[int, ...], int] = {}
-    rows = []
-    for comps in prev_parts:
-        row = bytearray()
-        for nb in range(1 << (s - 1)):
-            hub, missed = 1, []
-            for c in comps:
-                if c & nb:
-                    hub |= c << 1
-                else:
-                    missed.append(c << 1)
-            row.append(index.setdefault(tuple(sorted(missed + [hub])), len(index)))
-        rows.append(bytes(row))
-    return b"".join(rows[i] for i in prev_ids), tuple(index)
+    if w == 1:
+        yield (rest,)
+        return
+    low = rest & -rest
+    others = rest ^ low
+    sub = others
+    while True:
+        left = others ^ sub
+        if left.bit_count() >= w - 1:
+            for tail in _blocks(left, w - 1):
+                yield (low | sub, *tail)
+        if not sub:
+            return
+        sub = (sub - 1) & others
 
 
 @lru_cache(maxsize=None)
@@ -392,17 +379,16 @@ def tough_mask_table(n: int, p: int, q: int) -> bytes:
     Shared by the acceptance sweeps and the edge-maximal machinery;
     cached per (n, p, q) since a single n=7 fill covers 2^21 graphs.
 
-    The fill peels vertex 0.  The low n-1 bits of a mask are its
-    neighbourhood N and the high bits are the mask m of G' = G - 0
-    (vertex v relabeled v - 1), so the 2^(n-1) graphs sharing m form
-    one contiguous row.  A surviving set S = V - X either avoids 0, and
-    then omega(G[S]) = omega(G'[S]) depends on m alone, or is {0} + S',
-    and then omega(G[S]) is 1 plus the number of components of G'[S']
-    that N misses.  So each nonempty S' and component partition of
-    G'[S'] gives one 2^(n-1)-bit integer marking the N for which neither
-    S' nor {0} + S' violates q|X| >= p omega, and a row is the AND of
-    these over all S'.  The induced masks of G'[S'] are kept up to date
-    as m counts up (an increment flips ~2 edge bits amortized).
+    Filled from the definition, without a cutset scan.  A non-complete
+    G has tau(G) < t iff some X leaves w(G - X) > |X|/t components with
+    w(G - X) >= 2; merging components down to w = max(2, floor(|X|/t) + 1)
+    blocks B_1..B_w shows that this holds iff G is a spanning subgraph of
+    the labeled K_X + (K_B1 u ... u K_Bw), for some X with |X| + w <= n
+    and some split of V - X into w blocks.  So the edge masks of those
+    graphs are marked (each one the OR of the cliques on X u B_i), the
+    marks are closed downward one edge bit at a time over a big integer
+    holding one byte per mask, and the result is flipped.  tau(K_n) =
+    n - 1 by convention sets the last entry.
     """
     if p <= 0 or q <= 0:
         raise ValueError("t must be a positive rational")
@@ -410,49 +396,28 @@ def tough_mask_table(n: int, p: int, q: int) -> bytes:
         raise ValueError("n must be >= 1")
     if n > SWEEP_LIMIT:
         raise ValueError(f"toughness tables limited to n <= {SWEEP_LIMIT}")
-    k = n - 1  # vertices of G'; a row has 2^k entries, one per N
-    pairs = edge_pairs(k)
-    bit_of_pair = {uv: b for b, uv in enumerate(pairs)}
-    looks = []  # per S': induced mask of G'[S'] -> allowed-N integer
-    updates: list[list[tuple[int, int]]] = [[] for _ in pairs]
-    for sub in range(1, 1 << k):
-        verts = _mask_to_vertices(sub)
-        s = len(verts)
-        ids, parts = _partition_ids(s)
-        allowed = []
-        for comps in parts:
-            spread = [sum(1 << verts[i] for i in _mask_to_vertices(c)) for c in comps]
-            ok = 0
-            if len(comps) < 2 or q * (n - s) >= p * len(comps):
-                for nb in range(1 << k):
-                    w = 1 + sum(1 for c in spread if not c & nb)
-                    if w < 2 or q * (k - s) >= p * w:
-                        ok |= 1 << nb
-            allowed.append(ok)
-        for lb, (a, b) in enumerate(edge_pairs(s)):
-            updates[bit_of_pair[verts[a], verts[b]]].append((len(looks), 1 << lb))
-        looks.append([allowed[i] for i in ids])
-    ind = [0] * len(looks)
-    expanded: dict[int, bytes] = {}
-    rows = []
-    for m in range(1 << len(pairs)):
-        if m:
-            changed = m ^ (m - 1)
-            while changed:
-                bit = changed & -changed
-                changed ^= bit
-                for idx, lb in updates[bit.bit_length() - 1]:
-                    ind[idx] ^= lb
-        r = -1  # every N allowed until some S' rules it out
-        for look, i in zip(looks, ind):
-            r &= look[i]
-            if not r:
-                break
-        row = expanded.get(r)
-        if row is None:
-            row = expanded[r] = bytes(r >> nb & 1 for nb in range(1 << k))
-        rows.append(row)
-    table = bytearray(b"".join(rows))
+    pairs = edge_pairs(n)
+    size = 1 << len(pairs)
+    clique_on = [sum(1 << b for b, (u, v) in enumerate(pairs) if s >> u & s >> v & 1)
+                 for s in range(1 << n)]
+    marked = bytearray(size)
+    everyone = (1 << n) - 1
+    for xmask in range(1 << n):
+        x = xmask.bit_count()
+        w = max(2, x * q // p + 1)
+        if x + w <= n:
+            for blocks in _blocks(everyone ^ xmask, w):
+                mask = 0
+                for block in blocks:
+                    mask |= clique_on[xmask | block]
+                marked[mask] = 1
+    below = int.from_bytes(marked, "little")
+    for b in range(len(pairs)):
+        half = 1 << b  # the masks lacking bit b come in runs of 2^b bytes
+        lacks_b = int.from_bytes((b"\x01" * half + bytes(half)) * (size >> b + 1), "little")
+        below |= below >> (8 << b) & lacks_b
+    ones = int.from_bytes(b"\x01" * size, "little")
+    table = bytearray((below ^ ones).to_bytes(size, "little"))
     table[-1] = 1 if q * (n - 1) >= p else 0  # tau(K_n) = n - 1 by convention
     return bytes(table)
 
@@ -461,7 +426,10 @@ def parse_graph(text: str) -> Graph:
     """Parse the edge-list format (first line n, then `u v` lines) or the JSON form."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        data = json.loads(stripped)
+        try:
+            data = json.loads(stripped)
+        except RecursionError:  # nested too deep to be a graph
+            data = None
         try:
             n = data["n"]
             edges = [(u, v) for u, v in data.get("edges", [])]

@@ -284,16 +284,10 @@ def generate_best_monotone(sinks) -> list[ChvatalCondition]:
 
     A sequence satisfies every emitted condition exactly when no sink
     majorizes it, so the collection declares precisely the sequences
-    outside the subposet's shadow.
+    outside the subposet's shadow.  Distinct sinks give distinct
+    conditions, since frontier_sequence inverts blocking_condition.
     """
-    out: list[ChvatalCondition] = []
-    seen = set()
-    for sink in sorted({DegreeSequence(s) for s in sinks}):
-        cond = blocking_condition(sink)
-        if cond not in seen:
-            seen.add(cond)
-            out.append(cond)
-    return out
+    return [blocking_condition(sink) for sink in sorted({DegreeSequence(s) for s in sinks})]
 
 
 def is_weakly_optimal(cond: ChvatalCondition, sinks) -> bool:

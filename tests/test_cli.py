@@ -2,11 +2,13 @@ import contextlib
 import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toughseq.cli import main
+from toughseq.cli import FAMILY_LIMIT, main
+from toughseq.subposet import family_size
 
 
 def run(capsys, *argv):
@@ -185,16 +187,18 @@ VERTEX_COUNTS = st.integers(1, 12) | st.integers(-5, 12) | st.integers(10**6, 10
 
 @settings(max_examples=200, deadline=None)
 @given(
-    command=st.sampled_from(["theorem", "verify-optimality", "family-sinks"]),
+    command=st.sampled_from(["theorem", "verify-optimality", "family-sinks", "sinks"]),
     t=RATIONAL_TEXT | st.sampled_from(["1", "1/2", "2/3", "3/2", "7"]),
     n=VERTEX_COUNTS,
-    k=st.integers(-2, 10),
+    k=st.integers(-2, 10) | st.integers(10**6, 10**11),
     condition=st.sampled_from(["d1>=1", "d2>=3 | d4>=4", "d1>=2 | d5>=5"]),
     as_json=st.booleans(),
 )
 def test_sink_commands_fuzz(command, t, n, k, condition, as_json):
     if command == "theorem":
         argv = ["theorem", f"--t={t}", f"--n={n}", "--best-monotone"]
+    elif command == "sinks":
+        argv = ["sinks", f"--k={k}", f"--n={n}"]
     else:
         argv = ["verify-optimality", "--condition", condition, f"--k={k}", f"--n={n}"]
         if command == "family-sinks":
@@ -211,7 +215,7 @@ def test_sink_commands_fuzz(command, t, n, k, condition, as_json):
     else:
         assert err.getvalue() == "" and n <= 12
     if code == 1:  # the one negative verdict these commands have
-        assert command != "theorem"
+        assert command in ("verify-optimality", "family-sinks")
         verdict = (json.loads(out.getvalue())["weakly_optimal"] is False if as_json
                    else "weakly optimal: no" in out.getvalue())
         assert verdict
@@ -268,7 +272,12 @@ def test_size_caps_refuse_before_allocating(capsys):
                  ("theorem", "--t", "1", "--n", "1000000000"),
                  ("theorem", "--t", "1", "--n", "10001"),
                  ("partitions", "--r", "1000000000"),
-                 ("partitions", "--r", "10001", "--max-parts", "1")):
+                 ("partitions", "--r", "10001", "--max-parts", "1"),
+                 ("sinks", "--k", "99999999999", "--n", "5"),
+                 ("sinks", "--k", "10002", "--n", "5"),
+                 ("sinks", "--k", "2", "--m", "1000000"),
+                 ("sinks", "--k", "7", "--m", "9"),
+                 ("sinks", "--k", "2", "--m", "21")):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1
@@ -279,6 +288,10 @@ def test_size_caps_refuse_before_allocating(capsys):
                "--allow-nongraphical")[0] == 0
     assert len(run(capsys, "theorem", "--t", "1", "--n", "10000")[1].splitlines()) == 4999
     assert run(capsys, "partitions", "--r", "10000", "--max-parts", "1") == (0, "1\n", "")
+    # sinks counts the whole family(n, 1/k): (k, m) = (7, 9) and (2, 21) are over the cap,
+    # the paper's (2, 20), (5, 9) and (6, 9) under it
+    for k, m, size in ((2, 20, 174397), (5, 9, 50054), (6, 9, 171464)):
+        assert family_size(m * (k + 1), Fraction(1, k), FAMILY_LIMIT) == size
 
 
 def test_partitions_list_limit(capsys):

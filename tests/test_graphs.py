@@ -258,28 +258,47 @@ def test_forcibly_oracle_counterexample_deterministic():
         forcibly_oracle(DegreeSequence((1, 3, 3, 3)), is_hamiltonian)  # not graphical
 
 
+# (count of tough graphs, SHA-256 of the table) at n = 6, one entry per t of
+# ORACLE_TS in test_subposet.py, recorded from the earlier row-at-a-time fill
+N6_TABLES = {
+    (1, 4): (26698, "8ef097a1fb7c2bd873ca0b56e42198432fc32597ada4ba5a654005c7edd66391"),
+    (1, 3): (26518, "7cc34f538cc4ae0f9f7a6823d0f0b6d0fd5db01286568127b5185b82ec68a35e"),
+    (2, 5): (24118, "692ef9e2f4c56078ef1b01caa632891d33ea1e03cec5fe39134ade3044853614"),
+    (1, 2): (24118, "692ef9e2f4c56078ef1b01caa632891d33ea1e03cec5fe39134ade3044853614"),
+    (2, 3): (11338, "9730a23ced54a0cddc23ec84f532d21218e59809fcac0b9e7b65c3a40f4753db"),
+    (3, 4): (10078, "e2219c6aad185dc015a7d70eb9d8fa59a469de5c99027bd7e04828cc9706b4e9"),
+    (1, 1): (10078, "e2219c6aad185dc015a7d70eb9d8fa59a469de5c99027bd7e04828cc9706b4e9"),
+    (4, 3): (1618, "84d09a569f16dab2d44c57ada69290561333efe083beb4a9434bbe69eefda704"),
+    (3, 2): (1618, "84d09a569f16dab2d44c57ada69290561333efe083beb4a9434bbe69eefda704"),
+    (2, 1): (76, "7a1d617feab6c17223bbc01f848763362b913fe95b7ec74d22c6353aa4bd78b7"),
+    (5, 2): (1, "09f9729b31669c63f2d85f13ae9bf53979cfba4317b99cb2fb7637c8895e3e2a"),
+    (3, 1): (1, "09f9729b31669c63f2d85f13ae9bf53979cfba4317b99cb2fb7637c8895e3e2a"),
+    (7, 1): (0, "c35020473aed1b4642cd726cad727b63fff2824ad68cedd7ffb73c7cbd890479"),
+}
+
+
 def test_tough_table_matches_direct_checks():
     for n in (1, 2, 3, 4, 5):
-        for p, q in [(1, 1), (1, 2), (2, 1), (3, 2), (1, 3)]:
+        for p, q in N6_TABLES:
             table = tough_mask_table(n, p, q)
             assert len(table) == 1 << len(edge_pairs(n))
             for mask in range(len(table)):
                 g = Graph.from_mask(n, mask)
-                assert bool(table[mask]) == is_t_tough(g, Fraction(p, q))
+                assert bool(table[mask]) == is_t_tough(g, Fraction(p, q)), (n, p, q, mask)
     rng = random.Random(3)
-    for n, (p, q) in [(6, (1, 1)), (6, (2, 1))]:
-        table = tough_mask_table(n, p, q)
-        for _ in range(120):
-            mask = rng.getrandbits(len(edge_pairs(n)))
-            g = Graph.from_mask(n, mask)
-            assert bool(table[mask]) == is_t_tough(g, Fraction(p, q))
+    for (p, q), pinned in N6_TABLES.items():
+        table = tough_mask_table(6, p, q)
+        assert (table.count(1), hashlib.sha256(table).hexdigest()) == pinned, (p, q)
+        for _ in range(40):
+            mask = rng.getrandbits(len(edge_pairs(6)))
+            assert bool(table[mask]) == is_t_tough(Graph.from_mask(6, mask), Fraction(p, q))
     for n in (0, -3):
         with pytest.raises(ValueError, match="n must be >= 1"):
             tough_mask_table(n, 1, 1)
 
 
-# (count of tough graphs, SHA-256 of the table) at n = 7, recorded from the
-# earlier fill that settled one mask at a time
+# the same at n = 7; the first seven entries were recorded from the fill that
+# settled one mask at a time, the rest from the row-at-a-time fill
 N7_TABLES = {
     (1, 3): (1859179, "ab97fcbe0f5786f8bc43e6003d0a2c2e573757d4ed365b4cfc3e1638554480b0"),
     (1, 2): (1765372, "b3dc83605b8e631c58b780fa975c4f3dd584f97662687d87b7da048b4c27a583"),
@@ -288,6 +307,12 @@ N7_TABLES = {
     (1, 1): (903476, "92602d243c7e67eeac1b6adf3e932bf24e93684c78ee46b3af2a8ccb7acd809e"),
     (3, 2): (91431, "0722c3aa6f8127ded37eeeafbdb35fd50e8363dcc5a9b49b121c4c6722bfc6f5"),
     (2, 1): (13696, "64c09f6d32955bf4b52351b20e1f3aeaed0916b6263b290221f7fece679eaa87"),
+    (1, 4): (1865934, "7a083e3d441ae8361e7bf60ad3a3db76eb7924990fe068f917c7274ab4248e25"),
+    (2, 5): (1766674, "8936f831dd13f1dc7987f0065710003725fac434f600e39e9c6ddba37a5e209d"),
+    (4, 3): (202976, "40077b0720996cf321bc1d86fd5f1933eeb6dcb1bf5f4d761cbe9c4ab0e0b940"),
+    (5, 2): (232, "f7806c6fffc07f6e703997e68a6464a77bdb5e9c06c8c0933d27d4b3926ea66a"),
+    (3, 1): (1, "c04bff05ea31e406be1ddce1854262d6ad700f8e0dadd4f13c77356df56dddc1"),
+    (7, 1): (0, "5647f05ec18958947d32874eeb788fa396a05d0bab7c1b71f112ceb7e9b31eee"),
 }
 
 
@@ -327,6 +352,12 @@ def test_parse_graph_rejects_json_booleans():
     for data in ({"n": True, "edges": []}, {"n": 3, "edges": [[False, 1]]}):
         with pytest.raises(ValueError, match="JSON graph"):
             parse_graph(json.dumps(data))
+
+
+def test_parse_graph_rejects_deeply_nested_json():
+    text = '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"
+    with pytest.raises(ValueError, match="JSON graph"):
+        parse_graph(text)
 
 
 def test_parse_graph_errors():
