@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .conditions import ChvatalCondition, condition_to_json, evaluate
 from .graphs import MAX_VERTICES, Graph, clique, empty_graph, graph_to_json, join, union
-from .sequences import DegreeSequence, NotGraphicalError, is_graphical
+from .sequences import DegreeSequence, NotGraphicalError, format_sequence, is_graphical
 
 __all__ = [
     "Verdict",
@@ -97,7 +97,10 @@ class Verdict:
 
 def _require_graphical(seq, allow_nongraphical: bool):
     if not allow_nongraphical and not is_graphical(seq):
-        raise NotGraphicalError(f"sequence {tuple(seq)} is not graphical")
+        text = format_sequence(seq)
+        if len(text) > 80:  # keep the error one short line at any n
+            text = f"{text[:80]}... (n = {len(seq)})"
+        raise NotGraphicalError(f"sequence {text} is not graphical")
 
 
 def hamiltonian_conditions(n: int) -> list[tuple[int, ChvatalCondition]]:

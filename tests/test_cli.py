@@ -5,9 +5,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from toughseq.cli import FAMILY_LIMIT, main
+from toughseq.sequences import SEQUENCE_LIMIT
 from toughseq.subposet import family_size
 
 
@@ -63,10 +64,25 @@ def test_check_json_mirrors_verdict(capsys):
 def test_check_rejects_nongraphical(capsys):
     code, _, err = run(capsys, "check", "--hamiltonian", "--seq", "1 3^3")
     assert code == 2
-    assert "not graphical" in err
+    assert "sequence 1 3^3 is not graphical" in err
     code, out, _ = run(capsys, "check", "--hamiltonian", "--seq", "1 3^3",
                        "--allow-nongraphical")
     assert code == 0
+    # the message abbreviates the sequence and cuts it at 80 characters, so any n gives one short line
+    for seq, shown in (("1^5000 9999^5000", "1^5000 9999^5000 is"),
+                       (" ".join(map(str, range(10000))), "... (n = 10000) is")):
+        code, out, err = run(capsys, "check", "--tough", "1", "--seq", seq)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and len(err.encode()) < 200 and shown in err
+
+
+def test_check_at_sequence_limit_runs(capsys):
+    # a quadratic graphicality test takes about 15 s per command at this size
+    for prop in (("--tough", "1"), ("--hamiltonian",)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", *prop, "--seq", "5000^10000")
+        assert time.perf_counter() - start < 3
+        assert code == 0 and "declared: yes" in out and err == ""
 
 
 def test_check_rejects_floats_and_bad_input(capsys):
@@ -221,6 +237,67 @@ def test_sink_commands_fuzz(command, t, n, k, condition, as_json):
         assert verdict
 
 
+# mostly short sequences that reach a verdict; about one draw in three adds a run
+# long enough to bring n to SEQUENCE_LIMIT or past it
+SEQUENCE_RUNS = st.builds(
+    list.__add__,
+    st.lists(st.tuples(st.integers(0, 5), st.integers(1, 5)), max_size=6),
+    st.lists(st.tuples(st.sampled_from([SEQUENCE_LIMIT // 2, SEQUENCE_LIMIT - 1, 10**30]),
+                       st.sampled_from([SEQUENCE_LIMIT // 2, SEQUENCE_LIMIT, SEQUENCE_LIMIT + 1])),
+             max_size=1),
+)
+# malformed or out of range at any n
+BAD_TOKENS = st.sampled_from(["x", "2^", "^3", "2^0", "3^-1", "1.5", "2^2^2", "1/2", "-1", "-2^3"])
+
+
+@settings(max_examples=150, deadline=None)
+@example(runs=[(5000, 10000)], bare=False, bad=[], prop="--tough", k=1, t="1/2",
+         allow=False, as_json=True)
+@example(runs=[(9999, 10000)], bare=False, bad=[], prop="--hamiltonian", k=1, t="1",
+         allow=False, as_json=False)
+@example(runs=[(0, 1), (4999, 4999), (9999, 5000)], bare=True, bad=[],
+         prop="--connected", k=2, t="1", allow=True, as_json=False)
+@example(runs=[(1, 5000), (9999, 5000)], bare=False, bad=[], prop="--tough", k=1,
+         t="3/2", allow=False, as_json=False)
+@example(runs=[(5000, 5000), (5000, 5001)], bare=False, bad=[], prop="--tough", k=1,
+         t="1", allow=False, as_json=False)
+@given(
+    runs=SEQUENCE_RUNS,
+    bare=st.booleans(),
+    bad=st.lists(BAD_TOKENS, max_size=1),
+    prop=st.sampled_from(["--hamiltonian", "--connected", "--tough"]),
+    k=st.integers(-2, 6) | st.just(10**30),
+    t=RATIONAL_TEXT | st.sampled_from(["0", "-1", "1/0", "1", "1/2", "1/3", "3/2",
+                                       str(10**30), f"1/{10**30}"]),
+    allow=st.booleans(),
+    as_json=st.booleans(),
+)
+def test_check_fuzz(runs, bare, bad, prop, k, t, allow, as_json):
+    tokens = [f"{d}" if bare and m == 1 else f"{d}^{m}" for d, m in runs]
+    tokens[len(runs) // 2:len(runs) // 2] = bad
+    argv = ["check", f"--seq={' '.join(tokens)}"]
+    argv.append({"--hamiltonian": prop, "--connected": f"--connected={k}",
+                 "--tough": f"--tough={t}"}[prop])
+    if allow:
+        argv.append("--allow-nongraphical")
+    if as_json:
+        argv.append("--json")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+        return
+    assert err.getvalue() == ""
+    declared = (json.loads(out.getvalue())["declared"] if as_json
+                else "declared: yes" in out.getvalue())
+    assert declared is (code == 0)
+    if not as_json:  # exit 1 is the well-formed "declared: no" verdict only
+        assert ("declared: no" in out.getvalue()) is (code == 1)
+
+
 @pytest.mark.parametrize("argv", [
     ("sinks", "--k", "-1", "--n", "4"),
     ("sinks", "--k", "0", "--m", "3"),
@@ -283,7 +360,7 @@ def test_size_caps_refuse_before_allocating(capsys):
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-    # the caps themselves still run (graphicality alone would take seconds at n = 10^4)
+    # the caps themselves still run
     assert run(capsys, "check", "--tough", "1", "--seq", "9999^10000",
                "--allow-nongraphical")[0] == 0
     assert len(run(capsys, "theorem", "--t", "1", "--n", "10000")[1].splitlines()) == 4999
