@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .conditions import ChvatalCondition, condition_to_json, evaluate
 from .graphs import MAX_VERTICES, Graph, clique, empty_graph, graph_to_json, join, union
-from .sequences import DegreeSequence, NotGraphicalError, format_sequence, is_graphical
+from .sequences import DegreeSequence, NotGraphicalError, _abbreviate, is_graphical
 
 __all__ = [
     "Verdict",
@@ -95,12 +95,21 @@ class Verdict:
         }
 
 
-def _require_graphical(seq, allow_nongraphical: bool):
+def _scan(seq, indexed, allow_nongraphical: bool, failure) -> Verdict:
+    """Gate graphicality, then judge the conditions of ``indexed`` in order.
+
+    ``indexed`` holds (label..., condition) entries, built by the caller
+    first so that an out-of-range n is reported before a non-graphical
+    sequence.  The first failing entry becomes a negative Verdict whose
+    extra fields ``failure(*labels)`` supplies.
+    """
     if not allow_nongraphical and not is_graphical(seq):
-        text = format_sequence(seq)
-        if len(text) > 80:  # keep the error one short line at any n
-            text = f"{text[:80]}... (n = {len(seq)})"
-        raise NotGraphicalError(f"sequence {text} is not graphical")
+        raise NotGraphicalError(f"sequence {_abbreviate(seq)} is not graphical")
+    conds = tuple(entry[-1] for entry in indexed)
+    for *labels, cond in indexed:
+        if not evaluate(cond, seq):
+            return Verdict(False, condition_set=conds, **failure(*labels))
+    return Verdict(True, condition_set=conds)
 
 
 def hamiltonian_conditions(n: int) -> list[tuple[int, ChvatalCondition]]:
@@ -136,14 +145,8 @@ def kconnected_conditions(n: int, k: int) -> list[tuple[int, ChvatalCondition]]:
 
 def check_kconnected(seq, k: int, allow_nongraphical: bool = False) -> Verdict:
     """Bondy-Boesch forcibly-k-connected test."""
-    n = len(seq)
-    indexed = kconnected_conditions(n, k)
-    _require_graphical(seq, allow_nongraphical)
-    conds = tuple(c for _, c in indexed)
-    for i, cond in indexed:
-        if not evaluate(cond, seq):
-            return Verdict(False, failing_index=i, condition_set=conds)
-    return Verdict(True, condition_set=conds)
+    return _scan(seq, kconnected_conditions(len(seq), k), allow_nongraphical,
+                 lambda i: {"failing_index": i})
 
 
 def tough_ge1_conditions(t, n: int) -> list[tuple[int, ChvatalCondition]]:
@@ -178,21 +181,17 @@ def check_tough_ge1(seq, t, allow_nongraphical: bool = False) -> Verdict:
     """
     n = len(seq)
     t = Fraction(t)
-    indexed = tough_ge1_conditions(t, n)
-    _require_graphical(seq, allow_nongraphical)
-    p, q = t.numerator, t.denominator
-    conds = tuple(c for _, c in indexed)
-    for i, cond in indexed:
-        if not evaluate(cond, seq):
-            b = i * q // p
-            blocking = DegreeSequence([i] * b + [n - b - 1] * (n - i - b) + [n - 1] * i)
-            graph = None
-            if n <= MAX_VERTICES:
-                graph = join(clique(i), union(empty_graph(b), clique(n - i - b)))
-            return Verdict(False, failing_index=i, blocking_sequence=blocking,
-                           blocking_shape=(i, b, n - i - b), blocking_graph=graph,
-                           condition_set=conds)
-    return Verdict(True, condition_set=conds)
+
+    def blocking(i: int) -> dict:
+        b = i * t.denominator // t.numerator
+        graph = None
+        if n <= MAX_VERTICES:
+            graph = join(clique(i), union(empty_graph(b), clique(n - i - b)))
+        witness = DegreeSequence([i] * b + [n - b - 1] * (n - i - b) + [n - 1] * i)
+        return {"failing_index": i, "blocking_sequence": witness,
+                "blocking_shape": (i, b, n - i - b), "blocking_graph": graph}
+
+    return _scan(seq, tough_ge1_conditions(t, n), allow_nongraphical, blocking)
 
 
 def tough_le1_conditions(t, n: int) -> list[tuple[str, int, ChvatalCondition]]:
@@ -222,11 +221,5 @@ def check_tough_le1(seq, t, allow_nongraphical: bool = False) -> Verdict:
     realization is what the second family builds on.  No blocking
     witness is emitted; this theorem is not weakly optimal.
     """
-    n = len(seq)
-    indexed = tough_le1_conditions(t, n)
-    _require_graphical(seq, allow_nongraphical)
-    conds = tuple(c for _, _, c in indexed)
-    for rule, i, cond in indexed:
-        if not evaluate(cond, seq):
-            return Verdict(False, failing_index=i, failing_rule=rule, condition_set=conds)
-    return Verdict(True, condition_set=conds)
+    return _scan(seq, tough_le1_conditions(t, len(seq)), allow_nongraphical,
+                 lambda rule, i: {"failing_index": i, "failing_rule": rule})

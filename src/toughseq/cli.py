@@ -40,8 +40,9 @@ from .conditions import (
 )
 from .graphs import read_graph, toughness
 from .partitions import count_partitions, enumerate_partitions
-from .sequences import SEQUENCE_LIMIT, NotGraphicalError, format_sequence, majorizes, parse_sequence
-from .subposet import family_size, generate_best_monotone, subposet_report, sweep_sinks
+from .sequences import SEQUENCE_LIMIT, NotGraphicalError, format_sequence, parse_sequence
+from .subposet import (family_size, generate_best_monotone, is_weakly_optimal,
+                       subposet_report, sweep_sinks)
 
 SCHEMA = 1
 LIST_LIMIT = 100_000  # partitions --list refuses larger counts; p(45) = 89,134 still lists
@@ -220,7 +221,7 @@ def cmd_verify_optimality(args) -> int:
         sinks = sweep_sinks(n, t)
         source = "exhaustive sweep"
     frontier = frontier_sequence(cond)
-    witness = next((s for s in sinks if majorizes(s, frontier)), None)
+    witness = is_weakly_optimal(cond, sinks)
     result = witness is not None
     lines = [
         f"condition: {format_condition(cond)} (n = {n})",

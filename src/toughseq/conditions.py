@@ -30,6 +30,8 @@ __all__ = [
     "frontier_sequence",
     "parse_condition",
     "format_condition",
+    "condition_to_json",
+    "condition_from_json",
 ]
 
 _CLAUSE_RE = re.compile(r"^d(\d+)\s*>=\s*(\d+)$")

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .sequences import DegreeSequence
 
@@ -85,7 +85,9 @@ class Graph:
 
     @classmethod
     def from_rows(cls, n: int, rows) -> "Graph":
-        """Trusted constructor from prebuilt adjacency rows (no validation)."""
+        """Trusted constructor from prebuilt adjacency rows: it checks only the size cap."""
+        if n > MAX_VERTICES:
+            raise ValueError(f"graph too large: {n} > {MAX_VERTICES}")
         g = object.__new__(cls)
         g.n = n
         g.rows = tuple(rows)
@@ -140,38 +142,27 @@ class ToughnessResult:
 def clique(m: int) -> Graph:
     if m < 1:
         raise ValueError("clique size must be >= 1")
-    if m > MAX_VERTICES:
-        raise ValueError(f"graph too large: {m} > {MAX_VERTICES}")
-    full = (1 << m) - 1
-    return Graph.from_rows(m, [full ^ (1 << v) for v in range(m)])
+    # rows are generated lazily, so from_rows refuses a large m before building any
+    return Graph.from_rows(m, (((1 << m) - 1) ^ (1 << v) for v in range(m)))
 
 
 def empty_graph(m: int) -> Graph:
     if m < 1:
         raise ValueError("graph needs at least one vertex")
-    if m > MAX_VERTICES:
-        raise ValueError(f"graph too large: {m} > {MAX_VERTICES}")
-    return Graph.from_rows(m, [0] * m)
+    return Graph.from_rows(m, repeat(0, m))
 
 
 def union(g: Graph, h: Graph) -> Graph:
     """Disjoint union; h's vertices are shifted up by g.n."""
-    n = g.n + h.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"graph too large: {n} > {MAX_VERTICES}")
-    rows = list(g.rows) + [r << g.n for r in h.rows]
-    return Graph.from_rows(n, rows)
+    return Graph.from_rows(g.n + h.n, g.rows + tuple(r << g.n for r in h.rows))
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus all edges between the two vertex sets."""
-    n = g.n + h.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"graph too large: {n} > {MAX_VERTICES}")
     gmask = (1 << g.n) - 1
     hmask = ((1 << h.n) - 1) << g.n
     rows = [r | hmask for r in g.rows] + [(r << g.n) | gmask for r in h.rows]
-    return Graph.from_rows(n, rows)
+    return Graph.from_rows(g.n + h.n, rows)
 
 
 def _component_of(rows, start_bit: int, inside: int) -> int:

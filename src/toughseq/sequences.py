@@ -45,9 +45,7 @@ class DegreeSequence(tuple):
             raise ValueError("empty degree sequence")
         n = len(vals)
         if vals[0] < 0 or vals[-1] > n - 1:
-            raise ValueError(
-                f"degree entries must lie in [0, {n - 1}], got {tuple(vals)}"
-            )
+            raise ValueError(f"degree entries must lie in [0, {n - 1}], got {_abbreviate(vals)}")
         return super().__new__(cls, vals)
 
     @property
@@ -106,6 +104,12 @@ def format_sequence(seq) -> str:
             run_value, run_len = d, 1
     parts.append((run_value, run_len))
     return " ".join(f"{v}^{m}" if m > 1 else f"{v}" for v, m in parts)
+
+
+def _abbreviate(seq) -> str:
+    """format_sequence cut at 80 characters, so an error stays one short line at any n."""
+    text = format_sequence(seq)
+    return text if len(text) <= 80 else f"{text[:80]}... (n = {len(seq)})"
 
 
 def majorizes(a, b) -> bool:

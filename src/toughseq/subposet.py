@@ -60,10 +60,13 @@ class SinkReport:
     family_size: int
     groups: tuple[GroupStat, ...]
     sinks: tuple[DegreeSequence, ...]
-    sink_count: int
     bound: Fraction
     claim2: bool | None
     claim3: bool | None
+
+    @property
+    def sink_count(self) -> int:
+        return len(self.sinks)
 
     @property
     def bound_applies(self) -> bool:
@@ -100,7 +103,11 @@ class SinkReport:
 
 
 def _terms(n: int, t, start: int):
-    """(x, w) for x = start, start+1, ... while x + w <= n, w = max(2, floor(x/t) + 1)."""
+    """(x, w) for x = start, start+1, ... while x + w <= n, w = max(2, floor(x/t) + 1).
+
+    When n - 1 < t, the complete graph K_n is not t-tough either: it
+    closes the terms as (x, w) = (n - 1, 1), one part of size 1.
+    """
     t = Fraction(t)
     if t <= 0:
         raise ValueError("t must be positive")
@@ -110,6 +117,8 @@ def _terms(n: int, t, start: int):
     while (w := max(2, x * t.denominator // t.numerator + 1)) + x <= n:
         yield x, w
         x += 1
+    if start <= n - 1 < t:
+        yield n - 1, 1
 
 
 def family(n: int, t, start: int = 0):
@@ -118,8 +127,8 @@ def family(n: int, t, start: int = 0):
     x ascending, then parts c_1 <= ... <= c_w lexicographic: the
     partitions of n-x into exactly w = max(2, floor(x/t) + 1) parts
     (of n-x-w into at most w, adding one to every slot).  degrees is the
-    sorted degree sequence as a tuple.  When n - 1 < t, K_n closes the
-    family as x = n-1, parts = (1,).
+    sorted degree sequence as a tuple.  When n - 1 < t, the last term
+    of ``_terms`` makes K_n close the family as x = n-1, parts = (1,).
     """
     for x, w in _terms(n, t, start):
         shapes = [tuple([1] * (w - len(lam)) + [c + 1 for c in reversed(lam)])
@@ -129,8 +138,6 @@ def family(n: int, t, start: int = 0):
             for c in parts:
                 degrees += [c + x - 1] * c
             yield x, parts, tuple(degrees + [n - 1] * x)
-    if start <= n - 1 < t:
-        yield n - 1, (1,), (n - 1,) * n
 
 
 def family_size(n: int, t, limit: int) -> int | None:
@@ -140,7 +147,7 @@ def family_size(n: int, t, limit: int) -> int | None:
     partitions of its r = n-x-w into at most min(w, 3) parts (closed
     form) must still fit under the limit.
     """
-    total = 1 if 0 < n < Fraction(t) + 1 else 0  # K_n
+    total = 0
     for x, w in _terms(n, t, 0):
         r = n - x - w
         if total + (r // 2 + 1 if w == 2 else ((r + 3) ** 2 + 6) // 12) > limit:
@@ -272,7 +279,6 @@ def subposet_report(k: int, m: int | None = None, n: int | None = None,
         family_size=len(members),
         groups=tuple(groups),
         sinks=tuple(sinks),
-        sink_count=len(sinks),
         bound=bound,
         claim2=claim2,
         claim3=claim3,
@@ -290,16 +296,17 @@ def generate_best_monotone(sinks) -> list[ChvatalCondition]:
     return [blocking_condition(sink) for sink in sorted({DegreeSequence(s) for s in sinks})]
 
 
-def is_weakly_optimal(cond: ChvatalCondition, sinks) -> bool:
-    """True iff the frontier sequence of cond is majorized by some sink.
+def is_weakly_optimal(cond: ChvatalCondition, sinks):
+    """The first sink that majorizes the frontier sequence of cond, or None.
 
-    With the complete sink set for (n, P) this is exactly
-    P-weak-optimality: every violator of cond sits below the frontier,
-    so all violators are majorized by a non-forcibly-P sequence iff
-    the frontier itself is.
+    With the complete sink set for (n, P) a witness exists exactly when
+    cond is P-weakly optimal: every violator of cond sits below the
+    frontier, so all violators are majorized by a non-forcibly-P
+    sequence iff the frontier itself is.  Sinks are non-empty, so the
+    result is truthy exactly when cond is weakly optimal.
     """
     frontier = frontier_sequence(cond)
-    return any(majorizes(sink, frontier) for sink in sinks)
+    return next((sink for sink in sinks if majorizes(sink, frontier)), None)
 
 
 @lru_cache(maxsize=None)

@@ -68,9 +68,11 @@ def test_check_rejects_nongraphical(capsys):
     code, out, _ = run(capsys, "check", "--hamiltonian", "--seq", "1 3^3",
                        "--allow-nongraphical")
     assert code == 0
-    # the message abbreviates the sequence and cuts it at 80 characters, so any n gives one short line
+    # the not-graphical and the out-of-range messages abbreviate the sequence and cut it
+    # at 80 characters, so any n gives one short line
     for seq, shown in (("1^5000 9999^5000", "1^5000 9999^5000 is"),
-                       (" ".join(map(str, range(10000))), "... (n = 10000) is")):
+                       (" ".join(map(str, range(10000))), "... (n = 10000) is"),
+                       ("10000^10000", "[0, 9999], got 10000^10000")):
         code, out, err = run(capsys, "check", "--tough", "1", "--seq", seq)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and len(err.encode()) < 200 and shown in err

@@ -1,4 +1,8 @@
+import ast
+import importlib
+import pkgutil
 import random
+from pathlib import Path
 
 import pytest
 
@@ -159,3 +163,19 @@ def test_parse_and_format_condition():
         parse_condition("d2>3", 6)
     with pytest.raises(ValueError):
         parse_condition("d0>=1", 6)
+
+
+def test_package_reexports_are_in_module_all():
+    # `from toughseq.<mod> import *` must give every name the package re-exports from <mod>
+    package = importlib.import_module("toughseq")
+    missing = []
+    for node in ast.parse(Path(package.__file__).read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"toughseq.{node.module}")
+            missing += [(node.module, a.name) for a in node.names if a.name not in module.__all__]
+    assert missing == []
+    # and every __all__ entry of every module exists
+    for info in pkgutil.iter_modules(package.__path__):
+        module = importlib.import_module(f"toughseq.{info.name}")
+        absent = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert absent == [], info.name

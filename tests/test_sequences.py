@@ -35,6 +35,9 @@ def test_parse_rejects_out_of_range():
         parse_sequence("3")  # d_1 = 3 > n-1 = 0
     with pytest.raises(ValueError):
         parse_sequence("-1 0 1")
+    with pytest.raises(ValueError) as info:
+        parse_sequence("-1 2 2")
+    assert str(info.value) == "degree entries must lie in [0, 2], got -1 2^2"
 
 
 def test_format_examples():

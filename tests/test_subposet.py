@@ -324,22 +324,23 @@ def test_sink_violates_only_its_own_condition():
 
 
 def test_is_weakly_optimal_examples():
+    # the result is the first majorizing sink (the witness), or None
     sink = parse_sequence("2^2 3^3 5")
-    assert is_weakly_optimal(blocking_condition(sink), [sink])
+    assert is_weakly_optimal(blocking_condition(sink), [sink]) is sink
     # frontier of d1>=2 at n=6 is 1 5^5, which the sink does not majorize
-    assert not is_weakly_optimal(parse_condition("d1>=2", 6), [sink])
+    assert is_weakly_optimal(parse_condition("d1>=2", 6), [sink]) is None
     # unsatisfiable clause: canonical empty, frontier 5^6, majorized by nothing
-    assert not is_weakly_optimal(ChvatalCondition(6, ((1, 6),)), [sink])
+    assert is_weakly_optimal(ChvatalCondition(6, ((1, 6),)), [sink]) is None
     # against the true 1-tough sink set at n=6 the bare clause is still not
     # weakly optimal, but the full two-clause condition is: its frontier is
     # the sink 1 4^4 5 itself
     all_sinks = sweep_sinks(6, 1)
-    assert not is_weakly_optimal(parse_condition("d1>=2", 6), all_sinks)
+    assert is_weakly_optimal(parse_condition("d1>=2", 6), all_sinks) is None
     full = parse_condition("d1>=2 | d5>=5", 6)
     from toughseq.conditions import frontier_sequence
 
     assert frontier_sequence(full) == parse_sequence("1 4^4 5")
-    assert is_weakly_optimal(full, all_sinks)
+    assert is_weakly_optimal(full, all_sinks) == parse_sequence("1 4^4 5")
 
 
 def test_trend_sink_counts_strictly_increase_in_k():
