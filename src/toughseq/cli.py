@@ -275,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sinks.add_argument("--emit-conditions", action="store_true",
                          help="also print the best monotone condition per sink")
     p_sinks.add_argument("--verify-claims", action="store_true",
-                         help="verify the group-structure claims (quadratic in group size)")
+                         help="verify the group-structure claims (a linear-time potential "
+                              "certificate per group, with an exact pairwise fallback)")
     p_sinks.add_argument("--json", action="store_true")
     p_sinks.set_defaults(func=cmd_sinks)
 

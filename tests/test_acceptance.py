@@ -159,10 +159,11 @@ def test_criterion_6_sink_bound_reproduction():
 
 
 def test_criterion_6b_sink_count_trend():
-    counts = [subposet_report(k, m=9, verify_claims=(k < 4)).sink_count
-              for k in (2, 3, 4)]
-    _report("6b", "sink counts strictly increase over k in {2,3,4} at m=9",
-            counts[0] < counts[1] < counts[2], str(counts))
+    reports = [subposet_report(k, m=9) for k in (2, 3, 4)]
+    counts = [rep.sink_count for rep in reports]
+    claims = all(rep.claim2 and rep.claim3 for rep in reports)
+    _report("6b", "sink counts strictly increase over k in {2,3,4} at m=9, claims verified",
+            counts[0] < counts[1] < counts[2] and claims, f"{counts}, claims {claims}")
 
 
 def test_criterion_7_claim4_identity():

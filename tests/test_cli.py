@@ -204,19 +204,30 @@ VERTEX_COUNTS = st.integers(1, 12) | st.integers(-5, 12) | st.integers(10**6, 10
 
 
 @settings(max_examples=200, deadline=None)
+@example(command="sinks", t="1", n=1, k=10, m=3, condition="d1>=1", as_json=True,
+         sink_flags={"--m", "--verify-claims", "--emit-conditions"})
+@example(command="sinks", t="1", n=12, k=1, m=1, condition="d1>=1", as_json=False,
+         sink_flags={"--verify-claims", "--emit-conditions"})
 @given(
     command=st.sampled_from(["theorem", "verify-optimality", "family-sinks", "sinks"]),
     t=RATIONAL_TEXT | st.sampled_from(["1", "1/2", "2/3", "3/2", "7"]),
     n=VERTEX_COUNTS,
     k=st.integers(-2, 10) | st.integers(10**6, 10**11),
+    # n = m(k + 1) <= 33 stays fast with every sinks flag; large m must be refused
+    m=st.integers(-2, 3) | st.integers(10**6, 10**9),
+    sink_flags=st.sets(st.sampled_from(["--m", "--verify-claims", "--emit-conditions"])),
     condition=st.sampled_from(["d1>=1", "d2>=3 | d4>=4", "d1>=2 | d5>=5"]),
     as_json=st.booleans(),
 )
-def test_sink_commands_fuzz(command, t, n, k, condition, as_json):
+def test_sink_commands_fuzz(command, t, n, k, m, sink_flags, condition, as_json):
+    small = n <= 12
     if command == "theorem":
         argv = ["theorem", f"--t={t}", f"--n={n}", "--best-monotone"]
     elif command == "sinks":
-        argv = ["sinks", f"--k={k}", f"--n={n}"]
+        argv = ["sinks", f"--k={k}", f"--m={m}" if "--m" in sink_flags else f"--n={n}"]
+        argv += sorted(sink_flags - {"--m"})
+        if "--m" in sink_flags:
+            small = m <= 3
     else:
         argv = ["verify-optimality", "--condition", condition, f"--k={k}", f"--n={n}"]
         if command == "family-sinks":
@@ -231,7 +242,7 @@ def test_sink_commands_fuzz(command, t, n, k, condition, as_json):
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().count("\n") == 1
     else:
-        assert err.getvalue() == "" and n <= 12
+        assert err.getvalue() == "" and small
     if code == 1:  # the one negative verdict these commands have
         assert command in ("verify-optimality", "family-sinks")
         verdict = (json.loads(out.getvalue())["weakly_optimal"] is False if as_json

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 import pytest
 
@@ -150,8 +151,25 @@ def test_paper_theorems_declare_no_sink_past_the_sweep():
         for n in range(t.denominator // t.numerator + 2, 26):
             for sink in sweep_sinks(n, t):
                 assert not check_tough_le1(sink, t).declared, (t, n, sink)
-                if t == 1:
-                    assert not check_tough_ge1(sink, t).declared, (n, sink)
+
+
+@pytest.mark.parametrize("t, redundant", [
+    (Fraction(1), 0), (Fraction(4, 3), 30), (Fraction(3, 2), 46), (Fraction(2), 84),
+    (Fraction(7, 3), 88), (Fraction(5, 2), 96), (Fraction(3), 115),
+], ids=str)
+def test_tough_ge1_theorem_is_sound_and_weakly_optimal(t, redundant):
+    # the t >= 1 theorem declares no sink, and each of its conditions is weakly
+    # optimal; `redundant` pins how many of them, summed over n, are not sink conditions
+    found = 0
+    for n in range(-(-t.numerator // t.denominator) + 2, 26):
+        sinks = sweep_sinks(n, t)
+        for sink in sinks:
+            assert not check_tough_ge1(sink, t).declared, (t, n, sink)
+        best = set(generate_best_monotone(sinks))
+        for _, cond in tough_ge1_conditions(t, n):
+            assert is_weakly_optimal(cond, sinks), (t, n, cond)
+            found += canonicalize(cond) not in best
+    assert found == redundant
 
 
 def test_compute_sinks_examples():
@@ -196,20 +214,25 @@ def test_compute_sinks_matches_brute_force():
             assert isinstance(s, DegreeSequence) == in_range
 
 
-@pytest.mark.parametrize("claim", ["claim2", "claim3"])
-def test_broken_claims_are_reported(monkeypatch, capsys, claim):
+@pytest.mark.parametrize("claim, index, seq", [
+    # 0 4^4 5 lies below the other member of its group, with an entry below j
+    pytest.param("claim2", 1, "0 4^4 5", id="claim2"),
+    # 1 3 4^3 5 lies below 1 4^4 5 with every entry in [j, n - 1]
+    pytest.param("claim2", 1, "1 3 4^3 5", id="claim2-in-range"),
+    # a second copy of 1 4^4 5 in its group
+    pytest.param("claim2", 1, "1 4^4 5", id="claim2-duplicate"),
+    # 1 4^5 lies below 1 4^4 5, yet its largest noncomplete degree qualifies it
+    pytest.param("claim3", 2, "1 4^5", id="claim3"),
+])
+def test_broken_claims_are_reported(monkeypatch, capsys, claim, index, seq):
     # k = 1, n = 6: group j = 1 is 1 4^4 5 and 2^2 3^3 5, group j = 2 is 2^2 3^2 5^2
-    first, second, third = subposet.enumerate_family(1, 6)
-    assert (first[0], second[0], third[0]) == (1, 1, 2)
-    if claim == "claim2":
-        # 0 4^4 5 lies below the other member of its group
-        second = (*second[:2], tuple(parse_sequence("0 4^4 5")))
-    else:
-        # 1 4^5 lies below 1 4^4 5, yet its largest noncomplete degree qualifies it
-        j, parts, _ = third
+    members = subposet.enumerate_family(1, 6)
+    assert [j for j, _, _ in members] == [1, 1, 2]
+    j, parts, _ = members[index]
+    if claim == "claim3":
         assert parts[-1] + j - 1 >= 6 - (j + 1)
-        third = (j, parts, tuple(parse_sequence("1 4^5")))
-    monkeypatch.setattr(subposet, "enumerate_family", lambda k, n: [first, second, third])
+    members[index] = (j, parts, tuple(parse_sequence(seq)))
+    monkeypatch.setattr(subposet, "enumerate_family", lambda k, n: members)
     rep = subposet_report(1, n=6)
     assert rep.counts_match
     assert getattr(rep, claim) is False
@@ -217,6 +240,46 @@ def test_broken_claims_are_reported(monkeypatch, capsys, claim):
     assert main(["sinks", "--k", "1", "--n", "6", "--verify-claims"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith(f"{claim} (") and line.endswith(": False") for line in lines)
+
+
+def test_antichain_check_matches_brute_force():
+    # the Claim 2 check of one group: its potential certificate and its _maximal
+    # fallback together must agree with pairwise majorization on any group
+    rng = random.Random(15)
+    groups = []
+    for k, n in ((1, 8), (2, 9), (3, 8)):
+        by_group = {}
+        for j, _, degrees in enumerate_family(k, n):
+            by_group.setdefault(j, []).append(degrees)
+        groups += [(seqs, j, n - 1) for j, seqs in by_group.items()]
+    seen = {"equal potentials": 0, "antichain, potentials differ": 0, "not an antichain": 0}
+    for _ in range(300):
+        n, lo = rng.randint(1, 8), rng.randint(0, 3)
+        hi = lo + rng.randint(0, 5)
+        pool = [tuple(sorted(rng.randint(lo - (rng.random() < 0.1), hi) for _ in range(n)))
+                for _ in range(rng.randint(1, 12))]
+        kind = rng.randrange(3)
+        if kind == 0:  # a family group, maybe with one member moved by one step
+            seqs, lo, hi = rng.choice(groups)
+            seqs = list(seqs)
+            if rng.random() < 0.5:
+                i = rng.randrange(len(seqs))
+                seqs[i] = tuple(sorted(max(lo - 1, min(hi, v + rng.randint(-1, 1)))
+                                       for v in seqs[i]))
+        elif kind == 1:  # the maximal elements of a pool: an antichain
+            seqs = [a for a in set(pool) if not any(b != a and majorizes(b, a) for b in pool)]
+        else:  # the pool itself, duplicates included
+            seqs = pool
+        brute = not any(i != i2 and majorizes(b, a)
+                        for i, a in enumerate(seqs) for i2, b in enumerate(seqs))
+        assert subposet._is_antichain(seqs, lo, hi) == brute, (seqs, lo, hi)
+        big = lcm(*range(1, hi - lo + 2))  # an entry below lo weighs -1, unlike any other
+        potentials = {sum(big // (v - lo + 1) if v >= lo else -1 for v in s) for s in seqs}
+        if not brute:
+            seen["not an antichain"] += 1
+        else:
+            seen["equal potentials" if len(potentials) == 1 else "antichain, potentials differ"] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def test_report_small_cases():
