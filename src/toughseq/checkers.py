@@ -17,8 +17,8 @@ a realization whose toughness is provably below t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .conditions import ChvatalCondition, condition_to_json, evaluate
 from .graphs import MAX_VERTICES, Graph, clique, empty_graph, graph_to_json, join, union
@@ -51,8 +51,7 @@ def parse_rational(text: str) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Checker outcome with the evidence that produced it.
 
     ``failing_index`` is the first index whose condition fails (the

@@ -8,7 +8,8 @@ Exit codes: 0 success / declared / true, 1 well-formed negative
 verdict, 2 usage or input error.  theorem --best-monotone and
 verify-optimality take the sinks of all non-t-tough graphs from the
 closed-form family of subposet.family at any n, and refuse a query
-whose family, counted up front, exceeds FAMILY_LIMIT members;
+whose family, counted up front, exceeds FAMILY_LIMIT members or
+ENTRY_LIMIT entries;
 sinks refuses the same oversized families (of family(n, 1/k)) and
 k - 1 above R_LIMIT, since its bound counts the partitions of k - 1;
 partitions --list refuses more than LIST_LIMIT partitions; check and
@@ -50,6 +51,10 @@ R_LIMIT = 10_000  # partitions refuses a larger r; r = 10,000 counts in about 5 
 # theorem --best-monotone, verify-optimality and sinks refuse larger families
 # (counted before any is built); n = 60 at t = 1/2 has 174,397 members
 FAMILY_LIMIT = 200_000
+# and families of more entries (members x n), which binds only past n = 63.  At
+# t >= n every member has two parts, so FAMILY_LIMIT alone admits about n^2/4
+# members of n entries each (n = 800 at t = 1000: 160,001 members, 87 s, 2 GB)
+ENTRY_LIMIT = FAMILY_LIMIT * 63
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -62,8 +67,12 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _check_family_size(n: int, t: Fraction) -> None:
-    if family_size(n, t, FAMILY_LIMIT) is None:
+    size = family_size(n, t, FAMILY_LIMIT)
+    if size is None:
         raise ValueError(f"family limited to {FAMILY_LIMIT} members; n = {n} at t = {t} has more")
+    if size * n > ENTRY_LIMIT:
+        raise ValueError(f"family limited to {ENTRY_LIMIT} entries; n = {n} at t = {t} "
+                         f"has {size} members of {n}")
 
 
 def cmd_check(args) -> int:
@@ -285,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_thm.add_argument("--n", type=int, required=True)
     p_thm.add_argument("--best-monotone", action="store_true",
                        help="derive conditions from the sinks of all non-t-tough graphs "
-                            f"(closed-form family, at most {FAMILY_LIMIT} members)")
+                            f"(closed-form family, at most {FAMILY_LIMIT} members "
+                            f"and {ENTRY_LIMIT} entries)")
     p_thm.add_argument("--json", action="store_true")
     p_thm.set_defaults(func=cmd_theorem)
 

@@ -17,7 +17,7 @@ blocking(frontier(c)) is equivalent to c.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .sequences import DegreeSequence
 
@@ -37,33 +37,43 @@ __all__ = [
 _CLAUSE_RE = re.compile(r"^d(\d+)\s*>=\s*(\d+)$")
 
 
-@dataclass(frozen=True)
-class ChvatalCondition:
+class _ConditionFields(NamedTuple):
+    n: int
+    clauses: tuple[tuple[int, int], ...]
+
+
+class ChvatalCondition(_ConditionFields):
     """Disjunction of clauses d_{i_j} >= k_{i_j} over n-sequences.
 
     Invariants: 1 <= i_1 < ... < i_r <= n and 1 <= k_1 <= ... <= k_r <= n.
     The empty disjunction (no clauses) is the always-false condition.
+    Clauses are stored as a tuple of int pairs, whatever iterable of
+    pairs was given.
     """
 
-    n: int
-    clauses: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, clauses) -> ChvatalCondition:
+        if n < 1:
             raise ValueError("condition length n must be >= 1")
-        clauses = tuple((int(i), int(k)) for i, k in self.clauses)
-        object.__setattr__(self, "clauses", clauses)
+        clauses = tuple((int(i), int(k)) for i, k in clauses)
         prev_i, prev_k = 0, 1
         for i, k in clauses:
-            if not 1 <= i <= self.n:
-                raise ValueError(f"clause index {i} out of range 1..{self.n}")
-            if not 1 <= k <= self.n:
-                raise ValueError(f"clause threshold {k} out of range 1..{self.n}")
+            if not 1 <= i <= n:
+                raise ValueError(f"clause index {i} out of range 1..{n}")
+            if not 1 <= k <= n:
+                raise ValueError(f"clause threshold {k} out of range 1..{n}")
             if i <= prev_i:
                 raise ValueError("clause indices must strictly increase")
             if k < prev_k:
                 raise ValueError("clause thresholds must be nondecreasing")
             prev_i, prev_k = i, k
+        return super().__new__(cls, n, clauses)
+
+    @classmethod
+    def _make(cls, iterable) -> ChvatalCondition:
+        # _replace builds through _make, so it validates too
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return format_condition(self)

@@ -23,10 +23,10 @@ Exhaustive sweeps enumerate every labeled graph on n vertices (all
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, repeat
+from typing import NamedTuple
 
 from .sequences import DegreeSequence
 
@@ -124,8 +124,7 @@ class Graph:
         return f"Graph({self.n}, {self.edges()!r})"
 
 
-@dataclass(frozen=True)
-class ToughnessResult:
+class ToughnessResult(NamedTuple):
     """Exact toughness with a deterministic witness cutset.
 
     For non-complete graphs ``value == |X| / omega(G - X)`` for the

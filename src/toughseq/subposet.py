@@ -18,10 +18,10 @@ as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .conditions import ChvatalCondition, blocking_condition, frontier_sequence
 from .graphs import Graph, edge_pairs, tough_mask_table
@@ -43,16 +43,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GroupStat:
+class GroupStat(NamedTuple):
     j: int
     count: int
     expected_count: int
     reduced_total: int  # n - j(k+1) - 1; its partitions into <= kj+1 parts index the group
 
 
-@dataclass(frozen=True)
-class SinkReport:
+class SinkReport(NamedTuple):
     """Enumerated family, its sinks, group statistics, and the sink bound."""
 
     k: int

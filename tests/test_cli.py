@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from toughseq.cli import FAMILY_LIMIT, main
+from toughseq.cli import ENTRY_LIMIT, FAMILY_LIMIT, R_LIMIT, main
+from toughseq.graphs import MAX_VERTICES, TOUGHNESS_LIMIT
 from toughseq.sequences import SEQUENCE_LIMIT
 from toughseq.subposet import family_size
 
@@ -194,6 +195,20 @@ def test_theorem_sweep_cap(capsys):
         assert code == 2 and out == "" and err.count("\n") == 1
 
 
+def run_fuzz(argv):
+    """main(argv) with its output captured: the shared assertions of the fuzz tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+    return code, out.getvalue()
+
+
 RATIONAL_TEXT = st.builds(
     "{}/{}".format,
     st.integers(-3, 12) | st.integers(-10**30, 10**30),
@@ -201,6 +216,11 @@ RATIONAL_TEXT = st.builds(
 )
 # accepted n stays small so every draw runs fast; large n must be refused by the cap
 VERTEX_COUNTS = st.integers(1, 12) | st.integers(-5, 12) | st.integers(10**6, 10**9)
+
+
+def mostly(common, rare):
+    """Draw from common about four times in five, else from rare."""
+    return st.integers(0, 4).flatmap(lambda branch: rare if branch == 0 else common)
 
 
 @settings(max_examples=200, deadline=None)
@@ -212,9 +232,10 @@ VERTEX_COUNTS = st.integers(1, 12) | st.integers(-5, 12) | st.integers(10**6, 10
     command=st.sampled_from(["theorem", "verify-optimality", "family-sinks", "sinks"]),
     t=RATIONAL_TEXT | st.sampled_from(["1", "1/2", "2/3", "3/2", "7"]),
     n=VERTEX_COUNTS,
-    k=st.integers(-2, 10) | st.integers(10**6, 10**11),
+    # mostly accepted k and m, so most sinks draws reach a run
+    k=mostly(st.integers(1, 10), st.integers(-2, 0) | st.integers(10**6, 10**11)),
     # n = m(k + 1) <= 33 stays fast with every sinks flag; large m must be refused
-    m=st.integers(-2, 3) | st.integers(10**6, 10**9),
+    m=mostly(st.integers(1, 3), st.integers(-2, 0) | st.integers(10**6, 10**9)),
     sink_flags=st.sets(st.sampled_from(["--m", "--verify-claims", "--emit-conditions"])),
     condition=st.sampled_from(["d1>=1", "d2>=3 | d4>=4", "d1>=2 | d5>=5"]),
     as_json=st.booleans(),
@@ -234,19 +255,12 @@ def test_sink_commands_fuzz(command, t, n, k, m, sink_flags, condition, as_json)
             argv.append("--family-sinks")
     if as_json:
         argv.append("--json")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
-    if code == 2:
-        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
-    else:
-        assert err.getvalue() == "" and small
+    code, out = run_fuzz(argv)
+    assert code == 2 or small
     if code == 1:  # the one negative verdict these commands have
         assert command in ("verify-optimality", "family-sinks")
-        verdict = (json.loads(out.getvalue())["weakly_optimal"] is False if as_json
-                   else "weakly optimal: no" in out.getvalue())
+        verdict = (json.loads(out)["weakly_optimal"] is False if as_json
+                   else "weakly optimal: no" in out)
         assert verdict
 
 
@@ -295,20 +309,94 @@ def test_check_fuzz(runs, bare, bad, prop, k, t, allow, as_json):
         argv.append("--allow-nongraphical")
     if as_json:
         argv.append("--json")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+    code, out = run_fuzz(argv)
     if code == 2:
-        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
         return
-    assert err.getvalue() == ""
-    declared = (json.loads(out.getvalue())["declared"] if as_json
-                else "declared: yes" in out.getvalue())
+    declared = json.loads(out)["declared"] if as_json else "declared: yes" in out
     assert declared is (code == 0)
     if not as_json:  # exit 1 is the well-formed "declared: no" verdict only
-        assert ("declared: no" in out.getvalue()) is (code == 1)
+        assert ("declared: no" in out) is (code == 1)
+
+
+# r <= 30 lists fast, at most p(30) = 5,604 partitions; huge and negative values are refused
+BOUNDS = st.none() | st.integers(-3, 12) | st.integers(10**6, 10**30) | st.just(-10**30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    r=st.integers(-3, 30) | st.integers(R_LIMIT + 1, 10**30) | st.just(-10**30),
+    max_parts=BOUNDS,
+    max_part=BOUNDS,
+    as_list=st.booleans(),
+    as_json=st.booleans(),
+)
+def test_partitions_fuzz(r, max_parts, max_part, as_list, as_json):
+    argv = ["partitions", f"--r={r}"]
+    argv += [f"--{name}={value}" for name, value in (("max-parts", max_parts), ("max-part", max_part))
+             if value is not None]
+    argv += ["--list"] * as_list + ["--json"] * as_json
+    code, out = run_fuzz(argv)
+    valid = 0 <= r <= R_LIMIT and all(b is None or b >= 0 for b in (max_parts, max_part))
+    assert code == (0 if valid else 2)
+    if code != 0:
+        return
+    if as_json:
+        payload = json.loads(out)
+        count = payload["count"]
+        listed = payload.get("partitions")
+    else:
+        count, *listed = out.splitlines()
+        count = int(count)
+    if as_list:  # the enumeration agrees with the count and honours both bounds
+        assert len(listed) == count
+        if as_json:
+            assert all(sum(lam) == r and len(lam) <= (max_parts if max_parts is not None else r)
+                       and max(lam, default=0) <= (max_part if max_part is not None else r)
+                       for lam in listed)
+
+
+# edges drawn over 0..n-1 so accepted files come often; faults break one of them
+FAULTS = st.sampled_from(["loop", "duplicate", "out of range", "word", "nested", "float n"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 10) | st.sampled_from([-1, 0, TOUGHNESS_LIMIT + 1, MAX_VERTICES + 1, 10**30]),
+    mask=st.integers(0, 2**45 - 1),
+    faults=st.lists(FAULTS, max_size=1),
+    as_json_file=st.booleans(),
+    as_json=st.booleans(),
+)
+def test_toughness_fuzz(tmp_path_factory, n, mask, faults, as_json_file, as_json):
+    pairs = [(u, v) for u in range(min(n, 10)) for v in range(u + 1, min(n, 10))]
+    edges = [list(pair) for b, pair in enumerate(pairs) if mask >> b & 1]
+    vertex_count = n
+    for fault in faults:
+        if fault == "loop":
+            edges.append([0, 0])
+        elif fault == "duplicate":
+            edges += [[1, 0], [0, 1]]
+        elif fault == "out of range":
+            edges.append([0, max(n, 0)])
+        elif fault == "word":
+            edges.append([0, "x"])
+        elif fault == "nested":
+            edges = [edges + [[0, 1]]]
+        else:
+            vertex_count = n + 0.5
+    if as_json_file:
+        text = json.dumps({"n": vertex_count, "edges": edges})
+    else:
+        text = "\n".join([str(vertex_count)] + [" ".join(map(str, e)) for e in edges]) + "\n"
+    path = tmp_path_factory.getbasetemp() / "fuzz-graph"
+    path.write_text(text)
+    code, out = run_fuzz(["toughness", str(path)] + ["--json"] * as_json)
+    assert code == (0 if 1 <= n <= TOUGHNESS_LIMIT and not faults else 2)
+    if code == 0 and as_json:
+        payload = json.loads(out)
+        assert payload["n"] == n and payload["tau"]["den"] >= 1
+    elif code == 0:
+        assert out.startswith("tau = ")
 
 
 @pytest.mark.parametrize("argv", [
@@ -367,7 +455,10 @@ def test_size_caps_refuse_before_allocating(capsys):
                  ("sinks", "--k", "10002", "--n", "5"),
                  ("sinks", "--k", "2", "--m", "1000000"),
                  ("sinks", "--k", "7", "--m", "9"),
-                 ("sinks", "--k", "2", "--m", "21")):
+                 ("sinks", "--k", "2", "--m", "21"),
+                 # 160,001 members of 800 entries: under FAMILY_LIMIT, over ENTRY_LIMIT
+                 ("theorem", "--t", "1000", "--n", "800", "--best-monotone"),
+                 ("theorem", "--t", "1000", "--n", "400", "--best-monotone")):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1
@@ -382,6 +473,15 @@ def test_size_caps_refuse_before_allocating(capsys):
     # the paper's (2, 20), (5, 9) and (6, 9) under it
     for k, m, size in ((2, 20, 174397), (5, 9, 50054), (6, 9, 171464)):
         assert family_size(m * (k + 1), Fraction(1, k), FAMILY_LIMIT) == size
+    # the entry cap binds only past n = 63; at t = 1000 it admits n = 369, not 370
+    assert ENTRY_LIMIT == 63 * FAMILY_LIMIT
+    for n, size, admitted in ((300, 22501, True), (369, 34041, True), (370, 34226, False),
+                              (400, 40001, False), (800, 160001, False)):
+        assert family_size(n, Fraction(1000), FAMILY_LIMIT) == size
+        assert (size * n <= ENTRY_LIMIT) is admitted
+    code, out, err = run(capsys, "theorem", "--t", "1000", "--n", "800", "--best-monotone")
+    assert err == ("error: family limited to 12600000 entries; "
+                   "n = 800 at t = 1000 has 160001 members of 800\n")
 
 
 def test_partitions_list_limit(capsys):
