@@ -75,6 +75,19 @@ def _check_family_size(n: int, t: Fraction) -> None:
                          f"has {size} members of {n}")
 
 
+def _family_n(args) -> int:
+    """n of the 1/k family named by --k and --n or --m (n = m(k+1)), refused past the caps."""
+    if args.k < 1:
+        raise ValueError("k must be >= 1")
+    n = args.n
+    if args.m is not None:
+        if args.m < 1:
+            raise ValueError("m must be >= 1")
+        n = args.m * (args.k + 1)
+    _check_family_size(n, Fraction(1, args.k))
+    return n
+
+
 def cmd_check(args) -> int:
     seq = parse_sequence(args.seq)
     allow = args.allow_nongraphical
@@ -132,14 +145,10 @@ def cmd_toughness(args) -> int:
 
 
 def cmd_sinks(args) -> int:
-    k, m = args.k, args.m
-    if k >= 1 and (m is None or m >= 1):  # else subposet_report names the bad k or m
-        # family_size refuses n < 1 with the message subposet_report gives
-        _check_family_size(args.n if m is None else m * (k + 1), Fraction(1, k))
-        if k - 1 > R_LIMIT:  # the bound's p(k - 1) takes O(k^2) time and O(k) space
-            raise ValueError(f"--k limited to {R_LIMIT + 1}, got {k}")
-    report = subposet_report(args.k, m=args.m, n=args.n,
-                             verify_claims=args.verify_claims)
+    n = _family_n(args)
+    if args.k - 1 > R_LIMIT:  # the bound's p(k - 1) takes O(k^2) time and O(k) space
+        raise ValueError(f"--k limited to {R_LIMIT + 1}, got {args.k}")
+    report = subposet_report(args.k, n=n, verify_claims=args.verify_claims)
     lines = [
         f"k: {report.k}  n: {report.n}" + (f"  m: {report.m}" if report.m is not None else ""),
         f"family size: {report.family_size}",
@@ -212,16 +221,8 @@ def cmd_partitions(args) -> int:
 
 
 def cmd_verify_optimality(args) -> int:
-    if args.k < 1:
-        raise ValueError("k must be >= 1")
-    if args.n is not None:
-        n = args.n
-    elif args.m is not None:
-        n = args.m * (args.k + 1)
-    else:
-        raise ValueError("give --n or --m")
+    n = _family_n(args)
     t = Fraction(1, args.k)
-    _check_family_size(n, t)
     cond = canonicalize(parse_condition(args.condition, n))
     if args.family_sinks:  # the sinks with a complete degree are the connected family's
         sinks = tuple(s for s in sweep_sinks(n, t) if s[-1] == n - 1) if n >= 2 else ()
@@ -311,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="is a condition weakly optimal for 1/k-toughness?")
     p_opt.add_argument("--condition", required=True, help="e.g. 'd2>=3 | d5>=4'")
     p_opt.add_argument("--k", type=int, required=True)
-    p_opt.add_argument("--n", type=int)
-    p_opt.add_argument("--m", type=int, help="n = m(k+1)")
+    size = p_opt.add_mutually_exclusive_group(required=True)
+    size.add_argument("--n", type=int)
+    size.add_argument("--m", type=int, help="n = m(k+1)")
     p_opt.add_argument("--family-sinks", action="store_true",
                        help="use the sinks of connected graphs only instead of all graphs")
     p_opt.add_argument("--json", action="store_true")

@@ -169,24 +169,50 @@ def enumerate_family(k: int, n: int) -> list[tuple]:
     return list(family(n, Fraction(1, k), start=1))
 
 
-def _maximal(seqs) -> list:
-    """Majorization-maximal elements of distinct, sorted, equal-length integer tuples.
+def _is_antichain(seqs: list, lo: int, hi: int) -> bool:
+    """No tuple of seqs majorizes another (sorted, equal-length, non-empty integer tuples).
 
-    Candidates go by decreasing entry sum: a strict majorizer has a
-    strictly larger sum, so by transitivity each candidate need only be
-    tested against the maxima found so far.  Each tuple is packed into
-    one integer of w-bit fields holding its entries minus the least
-    entry; the top bit of every field is a guard, clear in the packed
-    tuple.  Then a >= b entrywise iff ((a | guards) - b) & guards ==
-    guards: no field can borrow from the next, and a field keeps its
-    guard exactly when its entry of a is at least that of b.
+    Certificate first: h(v) = L // (v - lo + 1), L = lcm(1..hi-lo+1),
+    is a strictly decreasing integer weight on [lo, hi], so a tuple that
+    majorizes a different one has a strictly smaller potential sum(h).
+    Distinct tuples with entries in [lo, hi] and one shared potential
+    are therefore an antichain (in a group j of the 1/k family, with
+    lo = j and hi = n - 1, each part of size c adds c * L/c = L).  Any
+    other input is decided exactly by ``compute_sinks``.
     """
-    order = sorted(seqs, key=sum, reverse=True)
-    if not order or not order[0]:
-        return order
-    lo = min(s[0] for s in order)
-    w = (max(s[-1] for s in order) - lo).bit_length() + 1
-    guards = sum(1 << (i * w + w - 1) for i in range(len(order[0])))
+    if len(set(seqs)) == len(seqs) and all(lo <= s[0] and s[-1] <= hi for s in seqs):
+        big = lcm(*range(1, hi - lo + 2))
+        h = {v: big // (v - lo + 1) for v in range(lo, hi + 1)}
+        if len({sum(map(h.__getitem__, s)) for s in seqs}) <= 1:
+            return True
+    return len(compute_sinks(seqs)) == len(seqs)
+
+
+def compute_sinks(seqs) -> list:
+    """Majorization-maximal elements, deduplicated, lexicographically sorted.
+
+    Inputs are sorted nondecreasing, deduplicated and scanned once by
+    decreasing entry sum: a strict majorizer has a strictly larger sum,
+    so by transitivity each candidate need only be tested against the
+    maxima found so far.  Each tuple is packed into one integer of
+    w-bit fields holding its entries minus the least entry; the top bit
+    of every field is a guard, clear in the packed tuple.  Then a >= b
+    entrywise iff ((a | guards) - b) & guards == guards: no field can
+    borrow from the next, and a field keeps its guard exactly when its
+    entry of a is at least that of b.  Maximal elements come back as
+    DegreeSequence when the degree bounds hold, as plain tuples
+    otherwise (the poset machinery is generic over integer sequences).
+    """
+    uniq = {tuple(sorted(s)) for s in seqs}
+    lengths = {len(s) for s in uniq}
+    if len(lengths) > 1:
+        raise ValueError(f"mixed sequence lengths: {sorted(lengths)}")
+    order = sorted(uniq, key=sum, reverse=True)
+    lo = w = guards = 0  # no input, or only the empty tuple
+    if order and order[0]:
+        lo = min(s[0] for s in order)
+        w = (max(s[-1] for s in order) - lo).bit_length() + 1
+        guards = sum(1 << (i * w + w - 1) for i in range(len(order[0])))
     maxima: list = []
     raised: list[int] = []  # packed maxima with every guard set
     for seq in order:
@@ -199,42 +225,8 @@ def _maximal(seqs) -> list:
         else:
             maxima.append(seq)
             raised.append(packed | guards)
-    return maxima
-
-
-def _is_antichain(seqs: list, lo: int, hi: int) -> bool:
-    """No tuple of seqs majorizes another (sorted, equal-length, non-empty integer tuples).
-
-    Certificate first: h(v) = L // (v - lo + 1), L = lcm(1..hi-lo+1),
-    is a strictly decreasing integer weight on [lo, hi], so a tuple that
-    majorizes a different one has a strictly smaller potential sum(h).
-    Distinct tuples with entries in [lo, hi] and one shared potential
-    are therefore an antichain (in a group j of the 1/k family, with
-    lo = j and hi = n - 1, each part of size c adds c * L/c = L).  Any
-    other input is decided exactly by the ``_maximal`` scan.
-    """
-    if len(set(seqs)) == len(seqs) and all(lo <= s[0] and s[-1] <= hi for s in seqs):
-        big = lcm(*range(1, hi - lo + 2))
-        h = {v: big // (v - lo + 1) for v in range(lo, hi + 1)}
-        if len({sum(map(h.__getitem__, s)) for s in seqs}) <= 1:
-            return True
-    return len(_maximal(seqs)) == len(seqs)
-
-
-def compute_sinks(seqs) -> list:
-    """Majorization-maximal elements, deduplicated, lexicographically sorted.
-
-    Inputs are sorted nondecreasing and scanned once by ``_maximal``;
-    maximal elements come back as DegreeSequence when the degree bounds
-    hold, as plain tuples otherwise (the poset machinery is generic
-    over integer sequences).
-    """
-    uniq = {tuple(sorted(s)) for s in seqs}
-    lengths = {len(s) for s in uniq}
-    if len(lengths) > 1:
-        raise ValueError(f"mixed sequence lengths: {sorted(lengths)}")
     out = []
-    for seq in sorted(_maximal(uniq)):
+    for seq in sorted(maxima):
         try:
             out.append(DegreeSequence(seq))
         except ValueError:
@@ -253,7 +245,7 @@ def subposet_report(k: int, m: int | None = None, n: int | None = None,
     (no majorization within a group) is ``_is_antichain`` on each group
     j: one potential per member certifies a real group in linear time,
     and any group the certificate does not settle goes to the exact
-    ``_maximal`` scan.  Claim 3 (every sequence whose largest
+    ``compute_sinks`` scan.  Claim 3 (every sequence whose largest
     noncomplete degree reaches n - k(j+1) is a sink) is a lookup in the
     sinks already found.
     """

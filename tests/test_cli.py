@@ -404,11 +404,15 @@ def test_toughness_fuzz(tmp_path_factory, n, mask, faults, as_json_file, as_json
     ("sinks", "--k", "0", "--m", "3"),
     ("verify-optimality", "--condition", "d1>=1", "--k", "0", "--n", "4"),
     ("verify-optimality", "--condition", "d1>=1", "--k", "-1", "--n", "4", "--family-sinks"),
+    ("verify-optimality", "--condition", "d1>=1", "--k", "1", "--m", "0"),
+    ("sinks", "--k", "1", "--m", "0"),
 ])
 def test_k_below_one_is_a_usage_error(capsys, argv):
+    # and m below one, once k is valid: both commands resolve n by one rule
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == "error: k must be >= 1\n"
+    bad = "k" if int(argv[argv.index("--k") + 1]) < 1 else "m"
+    assert err == f"error: {bad} must be >= 1\n"
 
 
 def test_sweep_commands_below_two_vertices(capsys):
@@ -520,6 +524,11 @@ def test_verify_optimality_command(capsys):
     # and so does the all-graphs route, now that it reads the closed-form family
     code, out, _ = run(capsys, "verify-optimality", "--condition", "d2>=3", "--k", "1", "--n", "12")
     assert code in (0, 1) and "(sinks from exhaustive sweep: " in out
+    # --m names the same family as --n = m(k+1)
+    for flag in ([], ["--family-sinks"], ["--json"]):
+        by_m = run(capsys, "verify-optimality", "--condition", "d2>=3", "--k", "2", "--m", "2", *flag)
+        assert by_m == run(capsys, "verify-optimality", "--condition", "d2>=3", "--k", "2",
+                           "--n", "6", *flag)
 
 
 CONDITIONS_N6_T1 = [
@@ -591,3 +600,8 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 2
+    # verify-optimality takes exactly one of --n and --m, like sinks
+    for size in (["--n", "6", "--m", "2"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-optimality", "--condition", "d1>=1", "--k", "2", *size])
+        assert exc.value.code == 2

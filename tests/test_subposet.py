@@ -172,6 +172,36 @@ def test_tough_ge1_theorem_is_sound_and_weakly_optimal(t, redundant):
     assert found == redundant
 
 
+def test_family_slices_stream_to_the_sinks():
+    # slice x of family(n, t): the members with x complete vertices
+    for n in range(1, 21):
+        for t in ORACLE_TS:
+            slices = {}
+            for x, parts, degrees in family(n, t):
+                slices.setdefault(x, []).append((parts, degrees))
+            xs = sorted(slices)
+            # (a) no member of a lower slice majorizes a member of a higher one
+            for i, lower in enumerate(xs):
+                for higher in xs[i + 1:]:
+                    for _, a in slices[lower]:
+                        assert not any(majorizes(a, b) for _, b in slices[higher]), (n, t, a)
+            # (b) each part of size c adds c * L/c = L to the potential of the
+            # n - x noncomplete entries, so a slice is an antichain of distinct members
+            for x, members in slices.items():
+                big = lcm(*range(1, n - x + 1))
+                for parts, degrees in members:
+                    assert sum(big // (v - x + 1) for v in degrees[:n - x]) == len(parts) * big
+                assert len({degrees for _, degrees in members}) == len(members)
+            # (c) slices by descending x, each member kept unless an earlier keeper majorizes it
+            kept = []
+            for x in reversed(xs):
+                kept += [d for _, d in slices[x] if not any(majorizes(s, d) for s in kept)]
+            assert tuple(sorted(kept)) == sweep_sinks(n, t), (n, t)
+            # (d) when K_n is not t-tough it majorizes every member
+            if n - 1 < t:
+                assert sweep_sinks(n, t) == ((n - 1,) * n,)
+
+
 def test_compute_sinks_examples():
     assert [tuple(s) for s in compute_sinks([(1, 2, 3), (2, 2, 3), (1, 3, 3)])] == [
         (1, 3, 3), (2, 2, 3)]
@@ -243,7 +273,7 @@ def test_broken_claims_are_reported(monkeypatch, capsys, claim, index, seq):
 
 
 def test_antichain_check_matches_brute_force():
-    # the Claim 2 check of one group: its potential certificate and its _maximal
+    # the Claim 2 check of one group: its potential certificate and its compute_sinks
     # fallback together must agree with pairwise majorization on any group
     rng = random.Random(15)
     groups = []
@@ -327,6 +357,26 @@ def test_claim4_bridge_holds_where_invoked():
             left = partition_function(big_n) - count_partitions(big_n, max_parts=big_n - k)
             right = 1 + sum(partition_function(s) for s in range(1, k))
             assert left == right, (k, m, j)
+
+
+@pytest.mark.parametrize("k, m, certified", [
+    (2, 9, 16), (3, 9, 31), (4, 9, 54), (2, 15, 28), (5, 9, 91),
+])
+def test_claim3_count_in_closed_form(k, m, certified):
+    # one vertex from each of the kj + 1 cliques of a group-j member leaves a partition
+    # of r = n - j(k+1) - 1; Claim 3 picks those whose largest part is at least r - k + 1
+    from toughseq.partitions import count_partitions
+
+    n = m * (k + 1)
+    closed = 0
+    for j in range(1, m):
+        r = n - j * (k + 1) - 1
+        closed += count_partitions(r, max_parts=k * j + 1)
+        if r >= k:
+            closed -= count_partitions(r, max_parts=k * j + 1, max_part=r - k)
+    counted = sum(1 for j, parts, _ in enumerate_family(k, n)
+                  if parts[-1] + j - 1 >= n - k * (j + 1))
+    assert closed == counted == certified
 
 
 def test_generate_best_monotone_examples():
