@@ -269,12 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--tough", metavar="P/Q", help="forcibly t-tough for exact rational t")
     p_check.add_argument("--allow-nongraphical", action="store_true",
                          help="judge the conditions even if the sequence is not graphical")
-    p_check.add_argument("--json", action="store_true")
     p_check.set_defaults(func=cmd_check)
 
     p_tough = sub.add_parser("toughness", help="exact toughness of a graph file")
     p_tough.add_argument("graph_file", help="edge list (first line n, then 'u v' lines) or JSON {n, edges}")
-    p_tough.add_argument("--json", action="store_true")
     p_tough.set_defaults(func=cmd_toughness)
 
     p_sinks = sub.add_parser("sinks", help="enumerate the 1/k-tough family and its sinks")
@@ -287,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sinks.add_argument("--verify-claims", action="store_true",
                          help="verify the group-structure claims (a linear-time potential "
                               "certificate per group, with an exact pairwise fallback)")
-    p_sinks.add_argument("--json", action="store_true")
     p_sinks.set_defaults(func=cmd_sinks)
 
     p_thm = sub.add_parser("theorem", help="print a t-tough condition list")
@@ -297,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="derive conditions from the sinks of all non-t-tough graphs "
                             f"(closed-form family, at most {FAMILY_LIMIT} members "
                             f"and {ENTRY_LIMIT} entries)")
-    p_thm.add_argument("--json", action="store_true")
     p_thm.set_defaults(func=cmd_theorem)
 
     p_part = sub.add_parser("partitions", help="count or list integer partitions")
@@ -305,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument("--max-parts", type=int, default=None)
     p_part.add_argument("--max-part", type=int, default=None)
     p_part.add_argument("--list", action="store_true")
-    p_part.add_argument("--json", action="store_true")
     p_part.set_defaults(func=cmd_partitions)
 
     p_opt = sub.add_parser("verify-optimality",
@@ -317,9 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     size.add_argument("--m", type=int, help="n = m(k+1)")
     p_opt.add_argument("--family-sinks", action="store_true",
                        help="use the sinks of connected graphs only instead of all graphs")
-    p_opt.add_argument("--json", action="store_true")
     p_opt.set_defaults(func=cmd_verify_optimality)
 
+    for p_cmd in sub.choices.values():
+        p_cmd.add_argument("--json", action="store_true")
     return parser
 
 

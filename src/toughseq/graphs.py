@@ -11,8 +11,9 @@ by size, then lexicographically, and each caller supplies the size at
 which to stop.  It is the only cutset loop: ``tough_mask_table`` reads
 toughness off the definition instead, since a graph is not t-tough
 exactly when it spans some labeled K_X + (K_B1 u ... u K_Bw) with
-w = max(2, floor(|X|/t) + 1), so the non-t-tough masks are the
-down-closure of those few graphs' masks.
+(|X|, w) in ``_terms(n, t)``, so the non-t-tough masks are the
+down-closure of those few graphs' masks.  ``_terms`` is the one list of
+these shapes: ``subposet.family`` reads the same (x, w) pairs.
 
 Exhaustive sweeps enumerate every labeled graph on n vertices (all
 2^(n(n-1)/2) edge masks).  Edge bit b of a mask encodes the pair
@@ -272,8 +273,6 @@ def is_hamiltonian(g: Graph) -> bool:
     if _component_of(rows, 1, full) != full:
         return False
 
-    start_row = rows[0]
-
     def extend(v: int, visited: int) -> bool:
         if visited == full:
             return bool(rows[v] & 1)
@@ -285,14 +284,7 @@ def is_hamiltonian(g: Graph) -> bool:
                 return True
         return False
 
-    # fix vertex 0 as the cycle anchor
-    m = start_row
-    while m:
-        b = m & -m
-        m ^= b
-        if extend(b.bit_length() - 1, 1 | b):
-            return True
-    return False
+    return extend(0, 1)  # vertex 0 anchors the cycle
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
@@ -362,6 +354,26 @@ def _blocks(rest: int, w: int):
         sub = (sub - 1) & others
 
 
+def _terms(n: int, t):
+    """(x, w) for x = 0, 1, ... while x + w <= n, w = max(2, floor(x/t) + 1).
+
+    Every non-t-tough graph on n vertices spans some K_x + (K_{c_1} u
+    ... u K_{c_w}) of these shapes; when n - 1 < t, K_n is not t-tough
+    either and closes the terms as (x, w) = (n - 1, 1).
+    """
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    x = 0
+    while (w := max(2, x * t.denominator // t.numerator + 1)) + x <= n:
+        yield x, w
+        x += 1
+    if n - 1 < t:
+        yield n - 1, 1
+
+
 @lru_cache(maxsize=None)
 def tough_mask_table(n: int, p: int, q: int) -> bytes:
     """Table over all edge masks: entry 1 iff the graph is (p/q)-tough.
@@ -373,19 +385,20 @@ def tough_mask_table(n: int, p: int, q: int) -> bytes:
     G has tau(G) < t iff some X leaves w(G - X) > |X|/t components with
     w(G - X) >= 2; merging components down to w = max(2, floor(|X|/t) + 1)
     blocks B_1..B_w shows that this holds iff G is a spanning subgraph of
-    the labeled K_X + (K_B1 u ... u K_Bw), for some X with |X| + w <= n
-    and some split of V - X into w blocks.  So the edge masks of those
-    graphs are marked (each one the OR of the cliques on X u B_i), the
-    marks are closed downward one edge bit at a time over a big integer
-    holding one byte per mask, and the result is flipped.  tau(K_n) =
-    n - 1 by convention sets the last entry.
+    the labeled K_X + (K_B1 u ... u K_Bw), for some (|X|, w) in
+    ``_terms(n, t)`` and some split of V - X into w blocks.  So the edge
+    masks of those graphs are marked (each one the OR of the cliques on
+    X u B_i), the marks are closed downward one edge bit at a time over
+    a big integer holding one byte per mask, and the result is flipped.
+    K_n (tau = n - 1 by convention) needs no case of its own: when
+    n - 1 < t the terms end with (n - 1, 1), whose one block marks K_n;
+    every other marked graph lacks the edges between its blocks.
     """
     if p <= 0 or q <= 0:
         raise ValueError("t must be a positive rational")
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if n > SWEEP_LIMIT:
         raise ValueError(f"toughness tables limited to n <= {SWEEP_LIMIT}")
+    w_for = dict(_terms(n, Fraction(p, q)))
     pairs = edge_pairs(n)
     size = 1 << len(pairs)
     clique_on = [sum(1 << b for b, (u, v) in enumerate(pairs) if s >> u & s >> v & 1)
@@ -393,9 +406,8 @@ def tough_mask_table(n: int, p: int, q: int) -> bytes:
     marked = bytearray(size)
     everyone = (1 << n) - 1
     for xmask in range(1 << n):
-        x = xmask.bit_count()
-        w = max(2, x * q // p + 1)
-        if x + w <= n:
+        w = w_for.get(xmask.bit_count())
+        if w:
             for blocks in _blocks(everyone ^ xmask, w):
                 mask = 0
                 for block in blocks:
@@ -407,9 +419,7 @@ def tough_mask_table(n: int, p: int, q: int) -> bytes:
         lacks_b = int.from_bytes((b"\x01" * half + bytes(half)) * (size >> b + 1), "little")
         below |= below >> (8 << b) & lacks_b
     ones = int.from_bytes(b"\x01" * size, "little")
-    table = bytearray((below ^ ones).to_bytes(size, "little"))
-    table[-1] = 1 if q * (n - 1) >= p else 0  # tau(K_n) = n - 1 by convention
-    return bytes(table)
+    return (below ^ ones).to_bytes(size, "little")
 
 
 def parse_graph(text: str) -> Graph:

@@ -5,15 +5,16 @@ spans K_x + (K_{c_1} u ... u K_{c_w}) on them, whose degree sequence
 majorizes G's; merging cliques only raises degrees, down to
 w = max(2, floor(x/t) + 1).  So the sinks (majorization-maximal
 sequences) of all non-t-tough graphs are those of the closed-form
-``family(n, t)``.  One Chvatal-type condition per sink yields a best
-monotone theorem, and the number of sinks lower-bounds its size.  The
-paper's 1/k family is the connected slice x = j >= 1, the same
-(j, parts, degrees) tuples from ``enumerate_family``, grouped by j in
-``subposet_report``.  Its sinks are the sinks of ``family(n, 1/k)``
-that have a complete degree n - 1 (n >= 2): every x >= 1 member has
-one, and no x = 0 member can majorize one.  The exhaustive
-labeled-graph sweep (``edge_maximal_tough_sequences``, small n) stays
-as the oracle.
+``family(n, t)``, built on the (x, w) list ``graphs._terms`` that also
+fills the sweep's ``tough_mask_table``.  One Chvatal-type condition
+per sink yields a best monotone theorem, and the number of sinks
+lower-bounds its size.  The paper's 1/k family is the connected slice
+x = j >= 1, the same (j, parts, degrees) tuples from
+``enumerate_family``, grouped by j in ``subposet_report``.  Its sinks
+are the sinks of ``family(n, 1/k)`` that have a complete degree n - 1
+(n >= 2): every x >= 1 member has one, and no x = 0 member can
+majorize one.  The exhaustive labeled-graph sweep
+(``edge_maximal_tough_sequences``, small n) stays as the oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .conditions import ChvatalCondition, blocking_condition, frontier_sequence
-from .graphs import Graph, edge_pairs, tough_mask_table
+from .graphs import Graph, _terms, edge_pairs, tough_mask_table
 from .partitions import count_partitions, enumerate_partitions, partition_function
 from .sequences import DegreeSequence, majorizes
 
@@ -101,35 +102,17 @@ class SinkReport(NamedTuple):
         }
 
 
-def _terms(n: int, t, start: int):
-    """(x, w) for x = start, start+1, ... while x + w <= n, w = max(2, floor(x/t) + 1).
-
-    When n - 1 < t, the complete graph K_n is not t-tough either: it
-    closes the terms as (x, w) = (n - 1, 1), one part of size 1.
-    """
-    t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    x = start
-    while (w := max(2, x * t.denominator // t.numerator + 1)) + x <= n:
-        yield x, w
-        x += 1
-    if start <= n - 1 < t:
-        yield n - 1, 1
-
-
-def family(n: int, t, start: int = 0):
-    """Yield (x, parts, degrees) for every K_x + (K_{c_1} u ... u K_{c_w}), x >= start.
+def family(n: int, t):
+    """Yield (x, parts, degrees) for every K_x + (K_{c_1} u ... u K_{c_w}).
 
     x ascending, then parts c_1 <= ... <= c_w lexicographic: the
     partitions of n-x into exactly w = max(2, floor(x/t) + 1) parts
     (of n-x-w into at most w, adding one to every slot).  degrees is the
-    sorted degree sequence as a tuple.  When n - 1 < t, the last term
-    of ``_terms`` makes K_n close the family as x = n-1, parts = (1,).
+    sorted degree sequence as a tuple.  The (x, w) pairs are
+    ``graphs._terms``; when n - 1 < t, its last term makes K_n close
+    the family as x = n-1, parts = (1,).
     """
-    for x, w in _terms(n, t, start):
+    for x, w in _terms(n, t):
         shapes = [tuple([1] * (w - len(lam)) + [c + 1 for c in reversed(lam)])
                   for lam in enumerate_partitions(n - x - w, max_parts=w)]
         for parts in sorted(shapes):
@@ -147,26 +130,26 @@ def family_size(n: int, t, limit: int) -> int | None:
     form) must still fit under the limit.
     """
     total = 0
-    for x, w in _terms(n, t, 0):
+    for x, w in _terms(n, t):
         r = n - x - w
         if total + (r // 2 + 1 if w == 2 else ((r + 3) ** 2 + 6) // 12) > limit:
             return None
         total += count_partitions(r, max_parts=w)
         if total > limit:
             return None
-    return total if total <= limit else None
+    return total
 
 
 def enumerate_family(k: int, n: int) -> list[tuple]:
     """The connected slice x = j >= 1 of ``family(n, 1/k)`` as (j, parts, degrees).
 
     For each j with j(k+1) < n, the partitions of n-j into exactly
-    kj+1 positive parts.  Too-small parameters give an empty list, not
-    an error.
+    kj+1 positive parts.  An n >= 1 too small for j = 1 gives an empty
+    list, not an error.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return list(family(n, Fraction(1, k), start=1))
+    return [m for m in family(n, Fraction(1, k)) if m[0]]
 
 
 def _is_antichain(seqs: list, lo: int, hi: int) -> bool:
@@ -330,8 +313,6 @@ def edge_maximal_tough_sequences(n: int, t) -> tuple[DegreeSequence, ...]:
     graph qualifies vacuously when t > n-1).
     """
     t = Fraction(t)
-    if t <= 0:
-        raise ValueError("t must be positive")
     table = tough_mask_table(n, t.numerator, t.denominator)
     full = (1 << len(edge_pairs(n))) - 1
     seqs = set()
