@@ -86,7 +86,9 @@ class Graph:
 
     @classmethod
     def from_rows(cls, n: int, rows) -> "Graph":
-        """Trusted constructor from prebuilt adjacency rows: it checks only the size cap."""
+        """Trusted constructor from prebuilt adjacency rows: it checks only the size bounds."""
+        if n < 1:
+            raise ValueError("graph needs at least one vertex")
         if n > MAX_VERTICES:
             raise ValueError(f"graph too large: {n} > {MAX_VERTICES}")
         g = object.__new__(cls)
@@ -140,15 +142,11 @@ class ToughnessResult(NamedTuple):
 
 
 def clique(m: int) -> Graph:
-    if m < 1:
-        raise ValueError("clique size must be >= 1")
-    # rows are generated lazily, so from_rows refuses a large m before building any
+    # rows are generated lazily, so from_rows refuses a bad m before building any
     return Graph.from_rows(m, (((1 << m) - 1) ^ (1 << v) for v in range(m)))
 
 
 def empty_graph(m: int) -> Graph:
-    if m < 1:
-        raise ValueError("graph needs at least one vertex")
     return Graph.from_rows(m, repeat(0, m))
 
 
@@ -306,6 +304,8 @@ def iter_labeled_graphs(n: int):
     edge and the rows/degrees update in O(1).  The yielded lists are
     shared and mutated in place: consume, don't store.
     """
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
     if n > SWEEP_LIMIT:
         raise ValueError(f"labeled sweep limited to n <= {SWEEP_LIMIT}")
     pairs = edge_pairs(n)

@@ -1,10 +1,15 @@
-"""Shared generators for randomized tests (all seeded by the caller)."""
+"""Shared generators for randomized tests (all seeded by the caller), and
+the one exhaustive labeled-graph sweep that the soundness tests read."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
+from toughseq.checkers import check_hamiltonian_chvatal, check_kconnected, check_tough_ge1, check_tough_le1
 from toughseq.conditions import ChvatalCondition
+from toughseq.graphs import Graph, is_hamiltonian, is_k_connected, iter_labeled_graphs, tough_mask_table
 from toughseq.sequences import DegreeSequence, is_graphical
 
 
@@ -58,3 +63,58 @@ def random_condition(rng, n) -> ChvatalCondition:
     indices = sorted(rng.sample(range(1, n + 1), r))
     thresholds = sorted(rng.randint(1, n) for _ in range(r))
     return ChvatalCondition(n, tuple(zip(indices, thresholds)))
+
+
+# (checker, parameter, the n it is checked at): each cell asserts that no
+# labeled graph whose degree multiset the checker declares lacks the property
+CELLS = (
+    (check_hamiltonian_chvatal, None, range(3, 7)),
+    *((check_kconnected, k, range(k + 1, 7)) for k in (1, 2, 3)),
+    (check_tough_ge1, Fraction(1), range(3, 8)),
+    (check_tough_ge1, Fraction(2), range(6, 7)),
+    (check_tough_le1, Fraction(1, 2), range(4, 8)),
+    (check_tough_le1, Fraction(1, 3), range(5, 8)),
+)
+
+
+def _cell(checker, param, n):
+    """(declares, holds): the checker's verdict on a multiset, and whether
+    the labeled graph (mask, rows) on n vertices has the property."""
+    if checker is check_hamiltonian_chvatal:
+        return (lambda seq: checker(seq).declared,
+                lambda mask, rows: is_hamiltonian(Graph.from_rows(n, rows)))
+    if checker is check_kconnected:
+        return (lambda seq: checker(seq, param).declared,
+                lambda mask, rows: is_k_connected(Graph.from_rows(n, rows), param))
+    table = tough_mask_table(n, param.numerator, param.denominator)
+    return lambda seq: checker(seq, param).declared, lambda mask, rows: table[mask]
+
+
+def _walk(n, cells):
+    """Walk every labeled graph on n vertices once.
+
+    cells maps a name to (declares, holds).  Each distinct degree
+    multiset is judged once per cell, and holds runs only on graphs whose
+    multiset was declared.  Returns the realized multisets and, per cell,
+    the (multiset, mask) counterexamples in walk order.
+    """
+    declared_by = {}  # multiset -> [(name, holds)] of the cells declaring it
+    bad = {name: [] for name in cells}
+    for mask, rows, degs in iter_labeled_graphs(n):
+        key = tuple(sorted(degs))
+        todo = declared_by.get(key)
+        if todo is None:
+            seq = DegreeSequence(key)
+            todo = declared_by[key] = [(name, holds) for name, (declares, holds) in cells.items()
+                                       if declares(seq)]
+        for name, holds in todo:
+            if not holds(mask, rows):
+                bad[name].append((key, mask))
+    return frozenset(declared_by), bad
+
+
+@lru_cache(maxsize=None)
+def sweep(n):
+    """_walk over the cells of CELLS at n, named (checker, parameter)."""
+    return _walk(n, {(checker, param): _cell(checker, param, n)
+                     for checker, param, ns in CELLS if n in ns})

@@ -1,14 +1,14 @@
 """Acceptance suite: one test per criterion, printing a pass/fail line each.
 
 Everything here is exact (integer or Fraction comparisons); the sweep
-criteria enumerate all labeled graphs and memoize one checker verdict
-per distinct degree sequence.
+criteria read their cells of the one shared labeled-graph sweep
+(``conftest.sweep``), which judges each distinct degree multiset once.
 """
 
 import random
 from fractions import Fraction
 
-from conftest import all_valid_sequences, random_condition, random_majorizing_pair, random_valid_sequence
+from conftest import all_valid_sequences, random_condition, random_majorizing_pair, random_valid_sequence, sweep
 from toughseq.checkers import (
     check_hamiltonian_chvatal,
     check_kconnected,
@@ -17,18 +17,7 @@ from toughseq.checkers import (
     tough_ge1_conditions,
 )
 from toughseq.conditions import blocking_condition, canonicalize, equivalent, frontier_sequence
-from toughseq.graphs import (
-    Graph,
-    clique,
-    empty_graph,
-    is_hamiltonian,
-    is_k_connected,
-    iter_labeled_graphs,
-    join,
-    tough_mask_table,
-    toughness,
-    union,
-)
+from toughseq.graphs import Graph, clique, empty_graph, join, toughness, union
 from toughseq.partitions import count_partitions, enumerate_partitions, partition_function
 from toughseq.sequences import DegreeSequence
 from toughseq.subposet import subposet_report
@@ -39,39 +28,13 @@ def _report(num, name, ok, detail=""):
     assert ok, f"criterion {num} ({name}) failed: {detail}"
 
 
-def _verdict_cache(checker):
-    cache = {}
-
-    def declared(key):
-        if key not in cache:
-            cache[key] = checker(DegreeSequence(key)).declared
-        return cache[key]
-
-    return declared
-
-
 def test_criterion_1_chvatal_soundness_n6():
-    declared = _verdict_cache(check_hamiltonian_chvatal)
-    bad = []
-    for mask, rows, degs in iter_labeled_graphs(6):
-        key = tuple(sorted(degs))
-        if declared(key) and not is_hamiltonian(Graph.from_rows(6, rows)):
-            bad.append((key, mask))
+    bad = sweep(6)[1][check_hamiltonian_chvatal, None]
     _report(1, "Chvatal soundness, all 2^15 graphs on 6 vertices", not bad, str(bad[:3]))
 
 
 def test_criterion_2_bondy_boesch_soundness_n6():
-    caches = {k: _verdict_cache(lambda s, k=k: check_kconnected(s, k)) for k in (1, 2, 3)}
-    bad = []
-    for mask, rows, degs in iter_labeled_graphs(6):
-        key = tuple(sorted(degs))
-        g = None
-        for k in (1, 2, 3):
-            if caches[k](key):
-                if g is None:
-                    g = Graph.from_rows(6, rows)
-                if not is_k_connected(g, k):
-                    bad.append((key, mask, k))
+    bad = [(key, mask, k) for k in (1, 2, 3) for key, mask in sweep(6)[1][check_kconnected, k]]
     _report(2, "Bondy-Boesch soundness, n=6, k in {1,2,3}", not bad, str(bad[:3]))
 
 
@@ -91,30 +54,15 @@ def test_criterion_3_constructive_weak_optimality():
 
 
 def test_criterion_4_tough_ge1_soundness_oracle():
-    bad = []
-    runs = [(1, 1, 6), (2, 1, 6), (1, 1, 7)]
-    for p, q, n in runs:
-        table = tough_mask_table(n, p, q)
-        declared = _verdict_cache(lambda s, t=Fraction(p, q): check_tough_ge1(s, t))
-        for mask, _, degs in iter_labeled_graphs(n):
-            key = tuple(sorted(degs))
-            if declared(key) and not table[mask]:
-                bad.append((p, q, n, key, mask))
+    bad = [(p, q, n, key, mask) for p, q, n in [(1, 1, 6), (2, 1, 6), (1, 1, 7)]
+           for key, mask in sweep(n)[1][check_tough_ge1, Fraction(p, q)]]
     _report(4, "t>=1 checker soundness vs exact toughness, t in {1,2}, n up to 7",
             not bad, str(bad[:3]))
 
 
 def test_criterion_5_tough_le1_soundness_and_reduction():
-    bad = []
-    for q in (2, 3):
-        t = Fraction(1, q)
-        for n in range(q + 2, 7):
-            table = tough_mask_table(n, 1, q)
-            declared = _verdict_cache(lambda s, t=t: check_tough_le1(s, t))
-            for mask, _, degs in iter_labeled_graphs(n):
-                key = tuple(sorted(degs))
-                if declared(key) and not table[mask]:
-                    bad.append((t, n, key, mask))
+    bad = [(t, n, key, mask) for t in (Fraction(1, 2), Fraction(1, 3)) for n in range(t.denominator + 2, 7)
+           for key, mask in sweep(n)[1][check_tough_le1, t]]
     ok_sweep = not bad
 
     rng = random.Random(55)

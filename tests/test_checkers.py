@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_majorizing_pair
+from conftest import _walk, random_majorizing_pair, sweep
 from toughseq.checkers import (
     check_hamiltonian_chvatal,
     check_kconnected,
@@ -15,7 +15,7 @@ from toughseq.checkers import (
     tough_le1_conditions,
 )
 from toughseq.conditions import ChvatalCondition, equivalent
-from toughseq.graphs import is_t_tough, toughness
+from toughseq.graphs import Graph, is_hamiltonian, is_t_tough, toughness
 from toughseq.sequences import DegreeSequence, NotGraphicalError, parse_sequence
 
 
@@ -197,33 +197,18 @@ def test_monotonicity_samples():
 def test_soundness_against_sweep_oracle():
     # no checker declares a sequence having a realization without the property;
     # exhaustive over labeled graphs at n <= 6 for all four checkers and at
-    # n = 7 for toughness with t in {1/2, 1/3, 1}
-    from toughseq.graphs import Graph, is_hamiltonian, is_k_connected, iter_labeled_graphs, tough_mask_table
+    # n = 7 for toughness with t in {1/2, 1/3, 1}, in the cells of conftest.CELLS
+    for n in range(2, 8):
+        for cell, bad in sweep(n)[1].items():
+            assert not bad, (n, cell, bad[:3])
 
-    def sweep(n, declared_fn, holds_fn):
-        cache = {}
-        for mask, rows, degs in iter_labeled_graphs(n):
-            key = tuple(sorted(degs))
-            if key not in cache:
-                cache[key] = declared_fn(DegreeSequence(key))
-            if cache[key]:
-                assert holds_fn(mask, rows), (n, key, mask)
 
-    for n in range(3, 7):
-        sweep(n, lambda s: check_hamiltonian_chvatal(s).declared,
-              lambda mask, rows: is_hamiltonian(Graph.from_rows(len(rows), rows)))
-    for n in range(2, 7):
-        for k in range(1, min(4, n)):
-            sweep(n, lambda s, k=k: check_kconnected(s, k).declared,
-                  lambda mask, rows, k=k: is_k_connected(Graph.from_rows(len(rows), rows), k))
-    for n in range(3, 8):
-        for p, q in ((1, 1), (1, 2), (1, 3)):
-            if n < q // p + 2:
-                continue
-            table = tough_mask_table(n, p, q)
-            check = check_tough_ge1 if p >= q else check_tough_le1
-            sweep(n, lambda s, t=Fraction(p, q), c=check: c(s, t).declared,
-                  lambda mask, rows, tab=table: tab[mask])
+def test_sweep_reports_a_checker_that_declares_everything():
+    # the negative path: a cell whose checker declares every multiset is caught
+    _, bad = _walk(4, {"all": (lambda seq: True,
+                               lambda mask, rows: is_hamiltonian(Graph.from_rows(4, rows)))})
+    assert ((0, 0, 0, 0), 0) in bad["all"]
+    assert ((3, 3, 3, 3), 63) not in bad["all"]
 
 
 def test_verdict_json_shape():

@@ -83,13 +83,19 @@ def test_graph_validation():
         Graph(3, [(0, 1), (1, 0)])  # duplicate
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])  # out of range
-    # every builder refuses more than MAX_VERTICES = 24 vertices with the same message
+    # every builder refuses more than MAX_VERTICES = 24 vertices, and fewer than
+    # one, with the same message
     too_large = (lambda: clique(25), lambda: empty_graph(25), lambda: Graph(25),
                  lambda: union(clique(12), clique(13)), lambda: join(clique(20), empty_graph(5)))
-    for build in too_large:
-        with pytest.raises(ValueError) as info:
-            build()
-        assert str(info.value) == "graph too large: 25 > 24"
+    too_small = (lambda: clique(0), lambda: clique(-2), lambda: empty_graph(0), lambda: Graph(0),
+                 lambda: Graph.from_rows(0, ()), lambda: Graph.from_mask(0, 0), lambda: Graph.from_mask(-1, 0),
+                 lambda: list(iter_labeled_graphs(0)), lambda: list(iter_labeled_graphs(-1)))
+    for builds, message in ((too_large, "graph too large: 25 > 24"),
+                            (too_small, "graph needs at least one vertex")):
+        for build in builds:
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
     for g in (clique(24), empty_graph(24), Graph(24), union(clique(12), clique(12)),
               join(clique(20), empty_graph(4))):
         assert g.n == 24
