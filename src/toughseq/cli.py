@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .checkers import (
     check_hamiltonian_chvatal,
@@ -55,12 +56,17 @@ FAMILY_LIMIT = 200_000
 # t >= n every member has two parts, so FAMILY_LIMIT alone admits about n^2/4
 # members of n entries each (n = 800 at t = 1000: 160,001 members, 87 s, 2 GB)
 ENTRY_LIMIT = FAMILY_LIMIT * 63
+# --json documents go out JSON_BATCH encoder chunks per write: no command holds
+# its whole document, and a reader sees a few large writes, not one per chunk
+JSON_BATCH = 1 << 16
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
-        payload = {"schema": SCHEMA, **payload}
-        print(json.dumps(payload, indent=2, sort_keys=False))
+        chunks = json.JSONEncoder(indent=2).iterencode({"schema": SCHEMA, **payload})
+        while batch := "".join(islice(chunks, JSON_BATCH)):
+            sys.stdout.write(batch)
+        sys.stdout.write("\n")
     else:
         for line in text_lines:
             print(line)

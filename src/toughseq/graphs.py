@@ -302,12 +302,17 @@ def iter_labeled_graphs(n: int):
 
     Masks follow binary-reflected Gray order so each step flips one
     edge and the rows/degrees update in O(1).  The yielded lists are
-    shared and mutated in place: consume, don't store.
+    shared and mutated in place: consume, don't store.  n is checked
+    at the call, not on the first step.
     """
     if n < 1:
         raise ValueError("graph needs at least one vertex")
     if n > SWEEP_LIMIT:
         raise ValueError(f"labeled sweep limited to n <= {SWEEP_LIMIT}")
+    return _gray_walk(n)
+
+
+def _gray_walk(n: int):
     pairs = edge_pairs(n)
     m = len(pairs)
     rows = [0] * n

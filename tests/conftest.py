@@ -99,17 +99,23 @@ def _walk(n, cells):
     the (multiset, mask) counterexamples in walk order.
     """
     declared_by = {}  # multiset -> [(name, holds)] of the cells declaring it
+    # labeled degree vector -> declared_by[its multiset]: at n = 7, 111,850
+    # vectors for 342 multisets, so most graphs skip the sort
+    by_vector = {}
     bad = {name: [] for name in cells}
     for mask, rows, degs in iter_labeled_graphs(n):
-        key = tuple(sorted(degs))
-        todo = declared_by.get(key)
+        todo = by_vector.get(tuple(degs))
         if todo is None:
-            seq = DegreeSequence(key)
-            todo = declared_by[key] = [(name, holds) for name, (declares, holds) in cells.items()
-                                       if declares(seq)]
+            key = tuple(sorted(degs))
+            todo = declared_by.get(key)
+            if todo is None:
+                seq = DegreeSequence(key)
+                todo = declared_by[key] = [(name, holds) for name, (declares, holds) in cells.items()
+                                           if declares(seq)]
+            by_vector[tuple(degs)] = todo
         for name, holds in todo:
             if not holds(mask, rows):
-                bad[name].append((key, mask))
+                bad[name].append((tuple(sorted(degs)), mask))
     return frozenset(declared_by), bad
 
 

@@ -1,13 +1,20 @@
+import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from toughseq.cli import ENTRY_LIMIT, FAMILY_LIMIT, R_LIMIT, main
+import toughseq
+from toughseq.cli import ENTRY_LIMIT, FAMILY_LIMIT, JSON_BATCH, R_LIMIT, _emit, main
 from toughseq.graphs import MAX_VERTICES, TOUGHNESS_LIMIT
 from toughseq.sequences import SEQUENCE_LIMIT
 from toughseq.subposet import family_size
@@ -591,6 +598,36 @@ def test_json_stdout_is_pinned(capsys, argv, exit_code, payload):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == exit_code
     assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_json_is_written_in_batches(monkeypatch):
+    # a document of more encoder chunks than one batch goes out in several writes,
+    # none of them the whole document, that join to the one-shot encoding
+    payload = {"xs": list(range(2 * JSON_BATCH))}
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    _emit(argparse.Namespace(json=True), payload, [])
+    whole = json.dumps({"schema": 1, **payload}, indent=2) + "\n"
+    assert len(writes) > 2 and writes[-1] == "\n"  # the newline is a write of its own
+    assert all(len(w) < len(whole) for w in writes)
+    assert "".join(writes) == whole
+
+
+def test_closed_pipe_exits_2_with_one_line():
+    # the reader closes stdout after one byte, so a later batch fails mid-document
+    src = str(Path(toughseq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.Popen([sys.executable, "-m", "toughseq.cli", "sinks", "--k", "3", "--m", "9",
+                             "--emit-conditions", "--json"], env={**os.environ, "PYTHONPATH": path},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 2
+    assert err == b"error: [Errno 32] Broken pipe\n"
 
 
 def test_usage_errors_exit_2(capsys):

@@ -89,9 +89,12 @@ def test_graph_validation():
                  lambda: union(clique(12), clique(13)), lambda: join(clique(20), empty_graph(5)))
     too_small = (lambda: clique(0), lambda: clique(-2), lambda: empty_graph(0), lambda: Graph(0),
                  lambda: Graph.from_rows(0, ()), lambda: Graph.from_mask(0, 0), lambda: Graph.from_mask(-1, 0),
-                 lambda: list(iter_labeled_graphs(0)), lambda: list(iter_labeled_graphs(-1)))
+                 lambda: list(iter_labeled_graphs(0)), lambda: list(iter_labeled_graphs(-1)),
+                 lambda: iter_labeled_graphs(0))  # refused at the call, before any step
+    too_many = (lambda: list(iter_labeled_graphs(8)), lambda: iter_labeled_graphs(8))
     for builds, message in ((too_large, "graph too large: 25 > 24"),
-                            (too_small, "graph needs at least one vertex")):
+                            (too_small, "graph needs at least one vertex"),
+                            (too_many, "labeled sweep limited to n <= 7")):
         for build in builds:
             with pytest.raises(ValueError) as info:
                 build()
