@@ -380,11 +380,11 @@ def _terms(n: int, t):
 
 
 @lru_cache(maxsize=None)
-def tough_mask_table(n: int, p: int, q: int) -> bytes:
-    """Table over all edge masks: entry 1 iff the graph is (p/q)-tough.
+def tough_mask_table(n: int, t) -> bytes:
+    """Table over all edge masks: entry 1 iff the graph is t-tough.
 
     Shared by the acceptance sweeps and the edge-maximal machinery;
-    cached per (n, p, q) since a single n=7 fill covers 2^21 graphs.
+    cached per (n, t) since a single n=7 fill covers 2^21 graphs.
 
     Filled from the definition, without a cutset scan.  A non-complete
     G has tau(G) < t iff some X leaves w(G - X) > |X|/t components with
@@ -399,11 +399,9 @@ def tough_mask_table(n: int, p: int, q: int) -> bytes:
     n - 1 < t the terms end with (n - 1, 1), whose one block marks K_n;
     every other marked graph lacks the edges between its blocks.
     """
-    if p <= 0 or q <= 0:
-        raise ValueError("t must be a positive rational")
     if n > SWEEP_LIMIT:
         raise ValueError(f"toughness tables limited to n <= {SWEEP_LIMIT}")
-    w_for = dict(_terms(n, Fraction(p, q)))
+    w_for = dict(_terms(n, t))
     pairs = edge_pairs(n)
     size = 1 << len(pairs)
     clique_on = [sum(1 << b for b, (u, v) in enumerate(pairs) if s >> u & s >> v & 1)

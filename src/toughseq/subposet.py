@@ -11,9 +11,9 @@ per sink yields a best monotone theorem, and the number of sinks
 lower-bounds its size.  The paper's 1/k family is the connected slice
 x = j >= 1, the same (j, parts, degrees) tuples from
 ``enumerate_family``, grouped by j in ``subposet_report``.  Its sinks
-are the sinks of ``family(n, 1/k)`` that have a complete degree n - 1
-(n >= 2): every x >= 1 member has one, and no x = 0 member can
-majorize one.  The exhaustive labeled-graph sweep
+are ``compute_sinks`` over that slice, the sinks of ``family(n, 1/k)``
+with a complete degree n - 1: every x >= 1 member has one, and no
+x = 0 member can majorize one.  The exhaustive labeled-graph sweep
 (``edge_maximal_tough_sequences``, small n) stays as the oracle.
 """
 
@@ -217,11 +217,10 @@ def compute_sinks(seqs) -> list:
     return out
 
 
-def subposet_report(k: int, m: int | None = None, n: int | None = None,
-                    verify_claims: bool = True) -> SinkReport:
+def subposet_report(k: int, n: int, verify_claims: bool = True) -> SinkReport:
     """Enumerate the (k, n) family and report groups, sinks, and the bound.
 
-    Exactly one of m, n must be given; m means n = m(k+1).  The bound
+    m = n / (k+1) when k+1 divides n, else None.  The bound
     p(k-1) * n / (5(k+1)) is always computed but only asserted to hold
     (``bound_holds``) under its hypotheses k >= 2, n = m(k+1), m >= 9.
     Claim verification can be switched off for bulk counts.  Claim 2
@@ -232,28 +231,17 @@ def subposet_report(k: int, m: int | None = None, n: int | None = None,
     noncomplete degree reaches n - k(j+1) is a sink) is a lookup in the
     sinks already found.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if (m is None) == (n is None):
-        raise ValueError("give exactly one of m, n")
-    if m is not None:
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        n = m * (k + 1)
-    else:
-        assert n is not None
-        m = n // (k + 1) if n % (k + 1) == 0 else None
-
-    members = enumerate_family(k, n)
-    by_group: dict[int, list[tuple]] = {}
+    members = enumerate_family(k, n)  # checks k and n
+    m = n // (k + 1) if n % (k + 1) == 0 else None
+    by_group: dict[int, list[tuple]] = {}  # j ascending, as family yields x
     for j, _, degrees in members:
         by_group.setdefault(j, []).append(degrees)
 
     groups = []
-    for j in sorted(by_group):
+    for j, seqs in by_group.items():
         reduced = n - j * (k + 1) - 1
         expected = count_partitions(reduced, max_parts=k * j + 1)
-        groups.append(GroupStat(j, len(by_group[j]), expected, reduced))
+        groups.append(GroupStat(j, len(seqs), expected, reduced))
 
     sinks = compute_sinks([degrees for _, _, degrees in members])
 
@@ -312,8 +300,7 @@ def edge_maximal_tough_sequences(n: int, t) -> tuple[DegreeSequence, ...]:
     it is not t-tough but every single-edge supergraph is (the complete
     graph qualifies vacuously when t > n-1).
     """
-    t = Fraction(t)
-    table = tough_mask_table(n, t.numerator, t.denominator)
+    table = tough_mask_table(n, t)
     full = (1 << len(edge_pairs(n))) - 1
     seqs = set()
     for mask in range(full + 1):

@@ -86,7 +86,7 @@ def _cell(checker, param, n):
     if checker is check_kconnected:
         return (lambda seq: checker(seq, param).declared,
                 lambda mask, rows: is_k_connected(Graph.from_rows(n, rows), param))
-    table = tough_mask_table(n, param.numerator, param.denominator)
+    table = tough_mask_table(n, param)
     return lambda seq: checker(seq, param).declared, lambda mask, rows: table[mask]
 
 

@@ -87,7 +87,7 @@ def test_criterion_5_tough_le1_soundness_and_reduction():
 def test_criterion_6_sink_bound_reproduction():
     problems = []
     for k, want in ((2, 2), (3, 4)):
-        rep = subposet_report(k, m=9)
+        rep = subposet_report(k, n=9 * (k + 1))
         if rep.bound != Fraction(9 * partition_function(k - 1), 5):
             problems.append((k, "bound formula", rep.bound))
         if rep.sink_count < want:
@@ -107,7 +107,7 @@ def test_criterion_6_sink_bound_reproduction():
 
 
 def test_criterion_6b_sink_count_trend():
-    reports = [subposet_report(k, m=9) for k in (2, 3, 4)]
+    reports = [subposet_report(k, n=9 * (k + 1)) for k in (2, 3, 4)]
     counts = [rep.sink_count for rep in reports]
     claims = all(rep.claim2 and rep.claim3 for rep in reports)
     _report("6b", "sink counts strictly increase over k in {2,3,4} at m=9, claims verified",

@@ -524,10 +524,20 @@ def test_verify_optimality_command(capsys):
     assert payload["weakly_optimal"] is True
     assert payload["majorizing_sink"] == [2, 2, 3, 3, 5, 5]
 
-    # family-sinks route works beyond n = 7
-    code, _, _ = run(capsys, "verify-optimality", "--condition", "d2>=3",
-                     "--k", "1", "--n", "12", "--family-sinks")
-    assert code in (0, 1)
+    # family-sinks route works beyond n = 7; its text is pinned there (the --json
+    # of the same two cases is in PINNED_JSON)
+    assert run(capsys, "verify-optimality", "--condition", "d2>=3",
+               "--k", "1", "--n", "12", "--family-sinks") == (1, (
+        "condition: d2>=3 (n = 12)\n"
+        "property: 1/1-tough  (sinks from connected family: 5)\n"
+        "frontier sequence: 2^2 11^10\n"
+        "weakly optimal: no\n"), "")
+    assert run(capsys, "verify-optimality", "--condition", "d3>=3 | d7>=6",
+               "--k", "3", "--n", "20", "--family-sinks") == (1, (
+        "condition: d3>=3 | d7>=6 (n = 20)\n"
+        "property: 1/3-tough  (sinks from connected family: 91)\n"
+        "frontier sequence: 2^3 5^4 19^13\n"
+        "weakly optimal: no\n"), "")
     # and so does the all-graphs route, now that it reads the closed-form family
     code, out, _ = run(capsys, "verify-optimality", "--condition", "d2>=3", "--k", "1", "--n", "12")
     assert code in (0, 1) and "(sinks from exhaustive sweep: " in out
@@ -589,6 +599,21 @@ PINNED_JSON = [
         "k": 2, "sink_source": "connected family", "sink_count": 6,
         "frontier": [2, 2, 2, 2, 4, 4, 4, 8, 8], "weakly_optimal": True,
         "majorizing_sink": [2, 2, 2, 2, 4, 4, 4, 8, 8],
+    }),
+    # --family-sinks past the labeled sweep (n > 7)
+    (["verify-optimality", "--condition", "d2>=3", "--k", "1", "--n", "12", "--family-sinks"], 1, {
+        "schema": 1,
+        "condition": {"n": 12, "clauses": [[2, 3]], "text": "d2>=3"},
+        "k": 1, "sink_source": "connected family", "sink_count": 5,
+        "frontier": [2, 2, *[11] * 10], "weakly_optimal": False, "majorizing_sink": None,
+    }),
+    (["verify-optimality", "--condition", "d3>=3 | d7>=6", "--k", "3", "--n", "20",
+      "--family-sinks"], 1, {
+        "schema": 1,
+        "condition": {"n": 20, "clauses": [[3, 3], [7, 6]], "text": "d3>=3 | d7>=6"},
+        "k": 3, "sink_source": "connected family", "sink_count": 91,
+        "frontier": [2, 2, 2, *[5] * 4, *[19] * 13], "weakly_optimal": False,
+        "majorizing_sink": None,
     }),
 ]
 

@@ -299,21 +299,21 @@ N6_TABLES = {
 def test_tough_table_matches_direct_checks():
     for n in (1, 2, 3, 4, 5):
         for p, q in N6_TABLES:
-            table = tough_mask_table(n, p, q)
+            table = tough_mask_table(n, Fraction(p, q))
             assert len(table) == 1 << len(edge_pairs(n))
             for mask in range(len(table)):
                 g = Graph.from_mask(n, mask)
                 assert bool(table[mask]) == is_t_tough(g, Fraction(p, q)), (n, p, q, mask)
     rng = random.Random(3)
     for (p, q), pinned in N6_TABLES.items():
-        table = tough_mask_table(6, p, q)
+        table = tough_mask_table(6, Fraction(p, q))
         assert (table.count(1), hashlib.sha256(table).hexdigest()) == pinned, (p, q)
         for _ in range(40):
             mask = rng.getrandbits(len(edge_pairs(6)))
             assert bool(table[mask]) == is_t_tough(Graph.from_mask(6, mask), Fraction(p, q))
     for n in (0, -3):
         with pytest.raises(ValueError, match="n must be >= 1"):
-            tough_mask_table(n, 1, 1)
+            tough_mask_table(n, 1)
 
 
 # the same at n = 7; the first seven entries were recorded from the fill that
@@ -337,7 +337,7 @@ N7_TABLES = {
 
 @pytest.mark.parametrize("p,q", sorted(N7_TABLES))
 def test_tough_table_n7_pinned(p, q):
-    table = tough_mask_table(7, p, q)
+    table = tough_mask_table(7, Fraction(p, q))
     assert len(table) == 1 << 21
     assert (table.count(1), hashlib.sha256(table).hexdigest()) == N7_TABLES[p, q]
     rng = random.Random(7 * p + q)

@@ -313,7 +313,7 @@ def test_antichain_check_matches_brute_force():
 
 
 def test_report_small_cases():
-    rep = subposet_report(2, m=9)
+    rep = subposet_report(2, n=27)
     assert rep.n == 27 and rep.m == 9
     assert rep.bound == Fraction(9, 5)
     assert rep.sink_count >= 2
@@ -331,17 +331,12 @@ def test_report_small_cases():
     assert rep.claim2 is None and rep.claim3 is None
     assert rep.counts_match
 
-    with pytest.raises(ValueError):
-        subposet_report(2)
-    with pytest.raises(ValueError):
-        subposet_report(2, m=3, n=9)
-
 
 def test_report_group_counts_against_partition_formula():
     from toughseq.partitions import count_partitions
 
     for k, m in [(1, 5), (2, 4), (3, 3), (2, 9)]:
-        rep = subposet_report(k, m=m, verify_claims=False)
+        rep = subposet_report(k, n=m * (k + 1), verify_claims=False)
         for grp in rep.groups:
             expected = count_partitions((k + 1) * (m - grp.j) - 1, max_parts=k * grp.j + 1)
             assert grp.count == expected == grp.expected_count
@@ -403,24 +398,30 @@ def test_generated_theorem_declares_exactly_non_dominated():
 
 
 def test_sink_soundness_family_vs_sweep():
-    # family sinks == sweep sinks restricted to complete-degree sequences
-    for k in (1, 2):
-        for n in range(k + 2, 8):
-            family_sinks = compute_sinks(
-                [degrees for _, _, degrees in enumerate_family(k, n)])
-            all_sinks = tuple(compute_sinks(edge_maximal_tough_sequences(n, Fraction(1, k))))
-            with_complete = tuple(s for s in all_sinks if s[-1] == n - 1)
-            assert tuple(family_sinks) == with_complete, (k, n)
-            # disconnected-only sinks are reported alongside, never hidden
-            extra = set(all_sinks) - set(with_complete)
-            for s in extra:
-                assert s[-1] < n - 1
+    # family sinks == sinks of all non-(1/k)-tough graphs restricted to complete-degree
+    # sequences (none at n = 1), the latter from the labeled sweep at small n and from
+    # the closed-form family up to n = 30
+    def labeled_sinks(n, t):
+        return compute_sinks(edge_maximal_tough_sequences(n, t))
+
+    cases = [(k, n, labeled_sinks) for k in (1, 2) for n in range(k + 2, 8)]
+    cases += [(k, n, sweep_sinks) for k in range(1, 5) for n in range(1, 31)]
+    for k, n, sinks_of in cases:
+        family_sinks = compute_sinks(
+            [degrees for _, _, degrees in enumerate_family(k, n)])
+        all_sinks = tuple(sinks_of(n, Fraction(1, k)))
+        with_complete = tuple(s for s in all_sinks if s[-1] == n - 1) if n >= 2 else ()
+        assert tuple(family_sinks) == with_complete, (k, n)
+        # disconnected-only sinks (and K_1 at n = 1) are reported alongside, never hidden
+        extra = set(all_sinks) - set(with_complete)
+        for s in extra:
+            assert s[-1] < n - 1 or n == 1
 
 
 def test_sink_violates_only_its_own_condition():
     # a sink fails a generated weakly-optimal condition iff it is that sink's own
     for k, m in [(1, 3), (1, 5), (2, 4), (3, 3), (2, 9), (3, 9)]:
-        rep = subposet_report(k, m=m, verify_claims=False)
+        rep = subposet_report(k, n=m * (k + 1), verify_claims=False)
         conds = generate_best_monotone(rep.sinks)
         pairs = list(zip(rep.sinks, conds))
         # equivalent(a, b) compares canonical forms: canonicalize each condition once
@@ -457,5 +458,5 @@ def test_is_weakly_optimal_examples():
 
 
 def test_trend_sink_counts_strictly_increase_in_k():
-    counts = [subposet_report(k, m=5, verify_claims=False).sink_count for k in (2, 3, 4)]
+    counts = [subposet_report(k, n=5 * (k + 1), verify_claims=False).sink_count for k in (2, 3, 4)]
     assert counts[0] < counts[1] < counts[2]
