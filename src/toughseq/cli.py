@@ -36,7 +36,6 @@ from .checkers import (
 from .conditions import (
     canonicalize,
     condition_to_json,
-    format_condition,
     frontier_sequence,
     parse_condition,
 )
@@ -172,10 +171,10 @@ def cmd_sinks(args) -> int:
         lines.append(f"claim3 (large noncomplete degree implies sink): {report.claim3}")
     payload = report.to_json()
     if args.emit_conditions:
-        conds = generate_best_monotone(report.sinks)
+        conds = [condition_to_json(c) for c in generate_best_monotone(report.sinks)]
         lines.append(f"best monotone conditions ({len(conds)}):")
-        lines.extend(f"  {format_condition(c)}" for c in conds)
-        payload["conditions"] = [condition_to_json(c) for c in conds]
+        lines.extend(f"  {c['text']}" for c in conds)
+        payload["conditions"] = conds
     _emit(args, payload, lines)
     negative = (
         not report.counts_match
@@ -198,14 +197,13 @@ def cmd_theorem(args) -> int:
         if n > SEQUENCE_LIMIT:
             raise ValueError(f"condition listing limited to n <= {SEQUENCE_LIMIT}, got n = {n}")
         conds = [canonicalize(c) for _, c in tough_ge1_conditions(t, n)]
-    lines = [format_condition(c) for c in conds]
     payload = {
         "t": {"num": t.numerator, "den": t.denominator},
         "n": n,
         "best_monotone": bool(args.best_monotone),
         "conditions": [condition_to_json(c) for c in conds],
     }
-    _emit(args, payload, lines)
+    _emit(args, payload, [c["text"] for c in payload["conditions"]])
     return 0
 
 
@@ -238,14 +236,6 @@ def cmd_verify_optimality(args) -> int:
     frontier = frontier_sequence(cond)
     witness = is_weakly_optimal(cond, sinks)
     result = witness is not None
-    lines = [
-        f"condition: {format_condition(cond)} (n = {n})",
-        f"property: 1/{args.k}-tough  (sinks from {source}: {len(sinks)})",
-        f"frontier sequence: {format_sequence(frontier)}",
-        f"weakly optimal: {'yes' if result else 'no'}",
-    ]
-    if result:
-        lines.append(f"majorizing sink: {format_sequence(witness)}")
     payload = {
         "condition": condition_to_json(cond),
         "k": args.k,
@@ -255,6 +245,14 @@ def cmd_verify_optimality(args) -> int:
         "weakly_optimal": result,
         "majorizing_sink": list(witness) if result else None,
     }
+    lines = [
+        f"condition: {payload['condition']['text']} (n = {n})",
+        f"property: 1/{args.k}-tough  (sinks from {source}: {len(sinks)})",
+        f"frontier sequence: {format_sequence(frontier)}",
+        f"weakly optimal: {'yes' if result else 'no'}",
+    ]
+    if result:
+        lines.append(f"majorizing sink: {format_sequence(witness)}")
     _emit(args, payload, lines)
     return 0 if result else 1
 

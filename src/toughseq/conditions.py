@@ -16,6 +16,7 @@ blocking(frontier(c)) is equivalent to c.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import NamedTuple
 
@@ -48,15 +49,16 @@ class ChvatalCondition(_ConditionFields):
     Invariants: 1 <= i_1 < ... < i_r <= n and 1 <= k_1 <= ... <= k_r <= n.
     The empty disjunction (no clauses) is the always-false condition.
     Clauses are stored as a tuple of int pairs, whatever iterable of
-    pairs was given.
+    pairs was given; a non-integer n or entry raises TypeError.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, clauses) -> ChvatalCondition:
+        n = operator.index(n)
         if n < 1:
             raise ValueError("condition length n must be >= 1")
-        clauses = tuple((int(i), int(k)) for i, k in clauses)
+        clauses = tuple((operator.index(i), operator.index(k)) for i, k in clauses)
         prev_i, prev_k = 0, 1
         for i, k in clauses:
             if not 1 <= i <= n:
@@ -89,21 +91,15 @@ def evaluate(cond: ChvatalCondition, seq) -> bool:
 def canonicalize(cond: ChvatalCondition) -> ChvatalCondition:
     """Unique minimal equivalent condition.
 
-    Clauses with threshold >= n are unsatisfiable (no entry reaches n)
-    and are dropped.  Among clauses sharing a threshold only the one
-    with the largest index survives: on nondecreasing sequences
-    d_i >= k implies d_{i'} >= k for i' >= i, so the larger index gives
-    the weaker clause, which subsumes the others.  The survivors have
-    strictly increasing thresholds, hence no clause implies another.
+    A clause is kept iff the next threshold, or n after the last clause,
+    is larger.  As indices strictly increase and thresholds never fall,
+    each threshold k is one run of clauses whose last, largest index
+    subsumes the rest (d_i >= k implies d_{i'} >= k for i' >= i on
+    nondecreasing sequences), and the run at k = n never holds.  The
+    survivors' thresholds strictly increase: no clause implies another.
     """
-    best_index: dict[int, int] = {}
-    for i, k in cond.clauses:
-        if k >= cond.n:
-            continue
-        if k not in best_index or i > best_index[k]:
-            best_index[k] = i
-    kept = sorted((i, k) for k, i in best_index.items())
-    return ChvatalCondition(cond.n, tuple(kept))
+    after = [k for _, k in cond.clauses[1:]] + [cond.n]
+    return ChvatalCondition(cond.n, [(i, k) for (i, k), a in zip(cond.clauses, after) if a > k])
 
 
 def equivalent(c1: ChvatalCondition, c2: ChvatalCondition) -> bool:
@@ -152,7 +148,7 @@ def condition_to_json(cond: ChvatalCondition) -> dict:
 
 
 def condition_from_json(data: dict) -> ChvatalCondition:
-    return ChvatalCondition(int(data["n"]), tuple((int(i), int(k)) for i, k in data["clauses"]))
+    return ChvatalCondition(data["n"], data["clauses"])
 
 
 def parse_condition(text: str, n: int) -> ChvatalCondition:

@@ -6,14 +6,14 @@ enumeration cheap at oracle scale.  All toughness values are exact
 ``fractions.Fraction``s; nothing here ever touches floating point.
 
 One cutset scan, ``_cutsets``, serves ``toughness``, ``is_t_tough``
-and ``is_k_connected``: it yields (X, omega(G - X)) for every cutset X
-by size, then lexicographically, and each caller supplies the size at
-which to stop.  It is the only cutset loop: ``tough_mask_table`` reads
-toughness off the definition instead, since a graph is not t-tough
-exactly when it spans some labeled K_X + (K_B1 u ... u K_Bw) with
-(|X|, w) in ``_terms(n, t)``, so the non-t-tough masks are the
-down-closure of those few graphs' masks.  ``_terms`` is the one list of
-these shapes: ``subposet.family`` reads the same (x, w) pairs.
+and ``is_k_connected``: it yields (X, omega(G - X)) for every cutset X,
+X as vertex bits, by size, then lexicographically, and each caller
+supplies the size at which to stop.  It is the only cutset loop:
+``tough_mask_table`` reads toughness off the definition instead, since a
+graph is not t-tough exactly when it spans some labeled K_X + (K_B1 u
+... u K_Bw) with (|X|, w) in ``_terms(n, t)``, so the non-t-tough masks
+are the down-closure of those few graphs' masks.  ``_terms`` is the one
+list of these shapes: ``subposet.family`` reads the same (x, w) pairs.
 
 Exhaustive sweeps enumerate every labeled graph on n vertices (all
 2^(n(n-1)/2) edge masks).  Edge bit b of a mask encodes the pair
@@ -61,16 +61,20 @@ HAMILTONICITY_LIMIT = 12   # backtracking cycle search
 SWEEP_LIMIT = 7            # labeled-graph sweeps, 2^(n(n-1)/2) masks
 
 
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph too large: {n} > {MAX_VERTICES}")
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1, bitmask adjacency rows."""
 
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, edges=()):
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
-        if n > MAX_VERTICES:
-            raise ValueError(f"graph too large: {n} > {MAX_VERTICES}")
+        _check_size(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -87,10 +91,7 @@ class Graph:
     @classmethod
     def from_rows(cls, n: int, rows) -> "Graph":
         """Trusted constructor from prebuilt adjacency rows: it checks only the size bounds."""
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
-        if n > MAX_VERTICES:
-            raise ValueError(f"graph too large: {n} > {MAX_VERTICES}")
+        _check_size(n)
         g = object.__new__(cls)
         g.n = n
         g.rows = tuple(rows)
@@ -194,23 +195,21 @@ def components(g: Graph) -> int:
 
 
 def _cutsets(g: Graph, stop):
-    """Yield (X, omega(G - X)) for every cutset X of g (omega >= 2).
+    """Yield (X, omega(G - X)) for every cutset X of g (omega >= 2), X as vertex bits 1 << v.
 
     Cutsets come by increasing size, then lexicographically; ``stop(size)``
-    is asked before each size and ends the scan when true.  This is the
-    one cutset enumeration behind toughness, t-toughness and connectivity.
+    is asked before each size and ends the scan when true.  One flood
+    settles each connected G - X; only cutsets pay for a full count.
     """
     n = g.n
     full = (1 << n) - 1
     rows = g.rows
+    bits = [1 << v for v in range(n)]
     for size in range(n - 1):
         if stop(size):
             return
-        for xs in combinations(range(n), size):
-            xmask = 0
-            for v in xs:
-                xmask |= 1 << v
-            inside = full ^ xmask
+        for xs in combinations(bits, size):
+            inside = full - sum(xs)
             comp = _component_of(rows, inside & -inside, inside)
             if comp != inside:
                 yield xs, 1 + _count_components(rows, inside ^ comp)
@@ -239,7 +238,8 @@ def toughness(g: Graph) -> ToughnessResult:
         if best is None or ratio < best[0]:
             best = (ratio, xs, w)
     assert best is not None  # non-complete graphs always have a cutset
-    return ToughnessResult(*best)
+    ratio, xs, w = best
+    return ToughnessResult(ratio, tuple(b.bit_length() - 1 for b in xs), w)
 
 
 def is_t_tough(g: Graph, t) -> bool:

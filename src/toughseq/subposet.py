@@ -88,11 +88,7 @@ class SinkReport(NamedTuple):
             "n": self.n,
             "m": self.m,
             "family_size": self.family_size,
-            "groups": [
-                {"j": g.j, "count": g.count, "expected_count": g.expected_count,
-                 "reduced_total": g.reduced_total}
-                for g in self.groups
-            ],
+            "groups": [g._asdict() for g in self.groups],
             "sinks": [list(s) for s in self.sinks],
             "sink_count": self.sink_count,
             "bound": {"num": self.bound.numerator, "den": self.bound.denominator},

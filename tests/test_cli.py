@@ -625,6 +625,49 @@ def test_json_stdout_is_pinned(capsys, argv, exit_code, payload):
     assert out == json.dumps(payload, indent=2) + "\n"
 
 
+# text mode beside PINNED_JSON: the benchmark digests pin only --json
+PINNED_TEXT = [
+    (["theorem", "--t", "3/2", "--n", "12"], 0,
+     "d1>=3 | d10>=11\n"
+     "d2>=4 | d9>=10\n"
+     "d2>=5 | d8>=10\n"
+     "d3>=6 | d7>=9\n"
+     "d4>=7 | d6>=8\n"
+     "d5>=8\n"),
+    (["theorem", "--t", "1/2", "--n", "9", "--best-monotone"], 0,
+     "d1>=1 | d9>=8\n"
+     "d2>=2 | d8>=7\n"
+     "d1>=2 | d3>=3 | d8>=6\n"
+     "d1>=2 | d4>=4 | d8>=5\n"
+     "d4>=3 | d7>=5\n"
+     "d3>=3 | d7>=4\n"
+     "d3>=3 | d9>=6\n"
+     "d2>=3 | d8>=4\n"
+     "d4>=4 | d9>=5\n"),
+    (["sinks", "--k", "2", "--m", "3", "--verify-claims", "--emit-conditions"], 0,
+     "k: 2  n: 9  m: 3\n"
+     "family size: 7\n"
+     "group j=1: 5 sequences (expected 5, ok)\n"
+     "group j=2: 2 sequences (expected 2, ok)\n"
+     "sink count: 6\n"
+     "bound: 3/5\n"
+     "claim2 (no majorization within a group): True\n"
+     "claim3 (large noncomplete degree implies sink): True\n"
+     "best monotone conditions (6):\n"
+     "  d2>=2 | d8>=7\n"
+     "  d1>=2 | d3>=3 | d8>=6\n"
+     "  d1>=2 | d4>=4 | d8>=5\n"
+     "  d4>=3 | d7>=5\n"
+     "  d3>=3 | d7>=4\n"
+     "  d2>=3 | d8>=4\n"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, text", PINNED_TEXT)
+def test_text_stdout_is_pinned(capsys, argv, exit_code, text):
+    assert run(capsys, *argv) == (exit_code, text, "")
+
+
 def test_json_is_written_in_batches(monkeypatch):
     # a document of more encoder chunks than one batch goes out in several writes,
     # none of them the whole document, that join to the one-shot encoding

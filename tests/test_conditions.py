@@ -65,6 +65,12 @@ def test_canonicalize_preserves_evaluate_exhaustively():
         for _ in range(40):
             c = random_condition(rng, n)
             canon = canonicalize(c)
+            # reference rule: the largest index per threshold below n, sorted
+            largest = {}
+            for i, k in c.clauses:
+                if k < n:
+                    largest[k] = max(i, largest.get(k, 0))
+            assert canon == ChvatalCondition(n, sorted((i, k) for k, i in largest.items()))
             for seq in seqs:
                 assert evaluate(c, seq) == evaluate(canon, seq)
 

@@ -11,7 +11,7 @@ import pytest
 
 import toughseq
 from toughseq.checkers import Verdict
-from toughseq.conditions import ChvatalCondition
+from toughseq.conditions import ChvatalCondition, condition_from_json
 from toughseq.graphs import ToughnessResult
 from toughseq.sequences import DegreeSequence
 from toughseq.subposet import GroupStat, SinkReport
@@ -94,6 +94,14 @@ def test_condition_normalizes_and_validates():
         with pytest.raises(ValueError) as exc:
             ChvatalCondition(n, clauses)
         assert str(exc.value) == message
+    # n and every clause entry must be integers: nothing is truncated or parsed
+    for n, clauses in ((3.5, ()), (3, ((1.9, 2.5),)), (3, ((1, 2.0),)), ("3", ()),
+                       (3, (("2", 2),)), (Fraction(3), ()), (3, ((1, Fraction(2)),))):
+        with pytest.raises(TypeError):
+            ChvatalCondition(n, clauses)
+        with pytest.raises(TypeError):
+            condition_from_json({"n": n, "clauses": clauses})
+    assert condition_from_json({"n": 5, "clauses": [[1, 2], [3, 4]]}) == cond
     # _replace rebuilds through the same checks
     assert cond._replace(n=4) == ChvatalCondition(4, ((1, 2), (3, 4)))
     with pytest.raises(ValueError, match="clause index 3 out of range 1..2"):
