@@ -61,6 +61,7 @@ JSON_BATCH = 1 << 16
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
+    """The one writer of stdout, called by main with what a cmd_* returned."""
     if args.json:
         chunks = json.JSONEncoder(indent=2).iterencode({"schema": SCHEMA, **payload})
         while batch := "".join(islice(chunks, JSON_BATCH)):
@@ -93,7 +94,7 @@ def _family_n(args) -> int:
     return n
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, dict, list[str]]:
     seq = parse_sequence(args.seq)
     allow = args.allow_nongraphical
     if args.hamiltonian:
@@ -125,11 +126,10 @@ def cmd_check(args) -> int:
         if verdict.blocking_shape is not None:
             lines.append(f"blocking graph: {verdict.shape_text()}")
     payload = {"sequence": list(seq), "property": prop, **verdict.to_json()}
-    _emit(args, payload, lines)
-    return 0 if verdict.declared else 1
+    return 0 if verdict.declared else 1, payload, lines
 
 
-def cmd_toughness(args) -> int:
+def cmd_toughness(args) -> tuple[int, dict, list[str]]:
     g = read_graph(args.graph_file)
     result = toughness(g)
     tau = result.value
@@ -145,11 +145,10 @@ def cmd_toughness(args) -> int:
         "witness_cutset": list(result.witness_cutset) if result.witness_cutset is not None else None,
         "witness_components": result.witness_components,
     }
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def cmd_sinks(args) -> int:
+def cmd_sinks(args) -> tuple[int, dict, list[str]]:
     n = _family_n(args)
     if args.k - 1 > R_LIMIT:  # the bound's p(k - 1) takes O(k^2) time and O(k) space
         raise ValueError(f"--k limited to {R_LIMIT + 1}, got {args.k}")
@@ -175,17 +174,16 @@ def cmd_sinks(args) -> int:
         lines.append(f"best monotone conditions ({len(conds)}):")
         lines.extend(f"  {c['text']}" for c in conds)
         payload["conditions"] = conds
-    _emit(args, payload, lines)
     negative = (
         not report.counts_match
         or report.bound_holds is False
         or report.claim2 is False
         or report.claim3 is False
     )
-    return 1 if negative else 0
+    return 1 if negative else 0, payload, lines
 
 
-def cmd_theorem(args) -> int:
+def cmd_theorem(args) -> tuple[int, dict, list[str]]:
     t = parse_rational(args.t)
     n = args.n
     if args.best_monotone:
@@ -203,11 +201,10 @@ def cmd_theorem(args) -> int:
         "best_monotone": bool(args.best_monotone),
         "conditions": [condition_to_json(c) for c in conds],
     }
-    _emit(args, payload, [c["text"] for c in payload["conditions"]])
-    return 0
+    return 0, payload, [c["text"] for c in payload["conditions"]]
 
 
-def cmd_partitions(args) -> int:
+def cmd_partitions(args) -> tuple[int, dict, list[str]]:
     if args.r > R_LIMIT:
         raise ValueError(f"--r limited to {R_LIMIT}, got {args.r}")
     count = count_partitions(args.r, max_parts=args.max_parts, max_part=args.max_part)
@@ -220,11 +217,10 @@ def cmd_partitions(args) -> int:
         parts = enumerate_partitions(args.r, max_parts=args.max_parts, max_part=args.max_part)
         lines.extend("+".join(map(str, lam)) if lam else "(empty)" for lam in parts)
         payload["partitions"] = parts
-    _emit(args, payload, lines)
-    return 0
+    return 0, payload, lines
 
 
-def cmd_verify_optimality(args) -> int:
+def cmd_verify_optimality(args) -> tuple[int, dict, list[str]]:
     n = _family_n(args)
     cond = canonicalize(parse_condition(args.condition, n))
     if args.family_sinks:
@@ -253,8 +249,7 @@ def cmd_verify_optimality(args) -> int:
     ]
     if result:
         lines.append(f"majorizing sink: {format_sequence(witness)}")
-    _emit(args, payload, lines)
-    return 0 if result else 1
+    return 0 if result else 1, payload, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +321,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, lines = args.func(args)
+        _emit(args, payload, lines)
+        return code
     except NotGraphicalError as exc:
         print(f"error: {exc} (pass --allow-nongraphical to judge it anyway)", file=sys.stderr)
         return 2

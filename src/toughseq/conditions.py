@@ -97,6 +97,7 @@ def canonicalize(cond: ChvatalCondition) -> ChvatalCondition:
     subsumes the rest (d_i >= k implies d_{i'} >= k for i' >= i on
     nondecreasing sequences), and the run at k = n never holds.  The
     survivors' thresholds strictly increase: no clause implies another.
+    Only cond.n and cond.clauses are read.
     """
     after = [k for _, k in cond.clauses[1:]] + [cond.n]
     return ChvatalCondition(cond.n, [(i, k) for (i, k), a in zip(cond.clauses, after) if a > k])
@@ -112,25 +113,26 @@ def equivalent(c1: ChvatalCondition, c2: ChvatalCondition) -> bool:
 def blocking_condition(seq) -> ChvatalCondition:
     """C(pi): the weakest condition blocking pi, in canonical form.
 
-    Built as the disjunction d_1 >= k_1+1 | ... | d_n >= k_n+1 for
-    pi = (k_1, ..., k_n); a sequence violates the result exactly when
-    it is majorized by pi.
+    The disjunction d_1 >= k_1+1 | ... | d_n >= k_n+1 for
+    pi = (k_1, ..., k_n), clauses past n dropped; a sequence violates
+    the result exactly when it is majorized by pi.  The raw clauses go
+    to canonicalize unvalidated, so only the survivors are checked.
     """
     n = len(seq)
-    raw = tuple((j, seq[j - 1] + 1) for j in range(1, n + 1) if seq[j - 1] + 1 <= n)
-    return canonicalize(ChvatalCondition(n, raw))
+    return canonicalize(_ConditionFields(n, [(j, d + 1) for j, d in enumerate(seq, 1) if d + 1 <= n]))
 
 
 def frontier_sequence(cond: ChvatalCondition) -> DegreeSequence:
     """Pi(c): the maximal n-sequence violating c (may be non-graphical).
 
-    With canonical clauses (i_1,k_1) < ... < (i_r,k_r) the entries are
-    k_1 - 1 up to position i_1, then k_{s+1} - 1 up to i_{s+1}, and
-    n - 1 past i_r.  Every violator of c is majorized by the result.
-    Construction guarantees thresholds >= 1, so every condition can be
-    violated (the all-zero sequence violates everything).
+    With clauses (i_1,k_1) < ... < (i_r,k_r) the entries are k_1 - 1 up
+    to position i_1, then k_{s+1} - 1 up to i_{s+1}, and n - 1 past i_r.
+    No clause need be dropped first: thresholds never fall, so the first
+    clause at or after a position bounds it, and a clause at k = n gives
+    n - 1 like the tail.  Every violator of c is majorized by the
+    result.  Construction guarantees thresholds >= 1, so every condition
+    can be violated (the all-zero sequence violates everything).
     """
-    cond = canonicalize(cond)
     n = cond.n
     entries: list[int] = []
     pos = 0
@@ -148,6 +150,9 @@ def condition_to_json(cond: ChvatalCondition) -> dict:
 
 
 def condition_from_json(data: dict) -> ChvatalCondition:
+    """Inverse of condition_to_json; a JSON boolean n or clause entry raises TypeError."""
+    if isinstance(data["n"], bool) or any(isinstance(x, bool) for cl in data["clauses"] for x in cl):
+        raise TypeError("condition n and clause entries must be integers, not booleans")
     return ChvatalCondition(data["n"], data["clauses"])
 
 

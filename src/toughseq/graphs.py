@@ -418,11 +418,15 @@ def tough_mask_table(n: int, t) -> bytes:
                 marked[mask] = 1
     below = int.from_bytes(marked, "little")
     for b in range(len(pairs)):
-        half = 1 << b  # the masks lacking bit b come in runs of 2^b bytes
-        lacks_b = int.from_bytes((b"\x01" * half + bytes(half)) * (size >> b + 1), "little")
-        below |= below >> (8 << b) & lacks_b
+        below |= below >> (8 << b) & _lacking(size, b)
     ones = int.from_bytes(b"\x01" * size, "little")
     return (below ^ ones).to_bytes(size, "little")
+
+
+def _lacking(size: int, b: int) -> int:
+    """Byte-per-mask integer over masks 0..size-1: byte m is 1 iff m lacks edge bit b."""
+    half = 1 << b  # the masks lacking bit b come in runs of 2^b bytes
+    return int.from_bytes((b"\x01" * half + bytes(half)) * (size >> b + 1), "little")
 
 
 def parse_graph(text: str) -> Graph:

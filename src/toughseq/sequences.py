@@ -8,7 +8,7 @@ exponents, e.g. (4,4,4,4,4,5,5,6) as ``4^5 5^2 6``.
 from __future__ import annotations
 
 import operator
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 __all__ = [
     "DegreeSequence",
@@ -94,16 +94,8 @@ def parse_sequence(text: str) -> DegreeSequence:
 
 def format_sequence(seq) -> str:
     """Abbreviated notation with ``^m`` omitted for runs of length 1."""
-    parts = []
-    run_value, run_len = seq[0], 0
-    for d in seq:
-        if d == run_value:
-            run_len += 1
-        else:
-            parts.append((run_value, run_len))
-            run_value, run_len = d, 1
-    parts.append((run_value, run_len))
-    return " ".join(f"{v}^{m}" if m > 1 else f"{v}" for v, m in parts)
+    runs = ((value, len(list(run))) for value, run in groupby(seq))
+    return " ".join(f"{v}^{m}" if m > 1 else f"{v}" for v, m in runs)
 
 
 def _abbreviate(seq) -> str:

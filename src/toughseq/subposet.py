@@ -25,7 +25,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .conditions import ChvatalCondition, blocking_condition, frontier_sequence
-from .graphs import Graph, _terms, edge_pairs, tough_mask_table
+from .graphs import Graph, _lacking, _terms, edge_pairs, tough_mask_table
 from .partitions import count_partitions, enumerate_partitions, partition_function
 from .sequences import DegreeSequence, majorizes
 
@@ -294,25 +294,23 @@ def edge_maximal_tough_sequences(n: int, t) -> tuple[DegreeSequence, ...]:
 
     Exhaustive over labeled graphs (small n only): a graph qualifies if
     it is not t-tough but every single-edge supergraph is (the complete
-    graph qualifies vacuously when t > n-1).
+    graph qualifies vacuously when t > n-1).  Found by the edge-bit step
+    of ``tough_mask_table``: per edge bit b, a mask lacking b stays iff
+    the mask with b added is t-tough.
     """
     table = tough_mask_table(n, t)
-    full = (1 << len(edge_pairs(n))) - 1
+    size = len(table)
+    tough = int.from_bytes(table, "little")
+    ones = int.from_bytes(b"\x01" * size, "little")
+    maximal = ones ^ tough
+    for b in range(len(edge_pairs(n))):  # bytes are 0 or 1, so ORing 1 passes masks with b
+        maximal &= tough >> (8 << b) | ones ^ _lacking(size, b)
+    found = maximal.to_bytes(size, "little")
     seqs = set()
-    for mask in range(full + 1):
-        if table[mask]:
-            continue
-        missing = full ^ mask
-        mm = missing
-        maximal = True
-        while mm:
-            b = mm & -mm
-            mm ^= b
-            if not table[mask | b]:
-                maximal = False
-                break
-        if maximal:
-            seqs.add(Graph.from_mask(n, mask).degree_sequence())
+    mask = found.find(1)
+    while mask >= 0:
+        seqs.add(Graph.from_mask(n, mask).degree_sequence())
+        mask = found.find(1, mask + 1)
     return tuple(sorted(seqs))
 
 

@@ -18,7 +18,7 @@ from toughseq.checkers import (
 )
 from toughseq.conditions import blocking_condition, canonicalize, equivalent, frontier_sequence
 from toughseq.graphs import Graph, clique, empty_graph, join, toughness, union
-from toughseq.partitions import count_partitions, enumerate_partitions, partition_function
+from toughseq.partitions import claim4_identity, count_partitions, enumerate_partitions, partition_function
 from toughseq.sequences import DegreeSequence
 from toughseq.subposet import subposet_report
 
@@ -115,13 +115,8 @@ def test_criterion_6b_sink_count_trend():
 
 
 def test_criterion_7_claim4_identity():
-    bad = []
-    for k in range(1, 7):
-        for big_n in range(2 * k + 1, 61):
-            left = partition_function(big_n) - count_partitions(big_n, max_parts=big_n - k)
-            right = 1 + sum(partition_function(s) for s in range(1, k))
-            if left != right:
-                bad.append((k, big_n, left, right))
+    bad = [(k, big_n) for k in range(1, 7) for big_n in range(2 * k + 1, 61)
+           if not claim4_identity(k, big_n)]
     ok_counts = not bad
 
     # cross-check the big-integer counts against explicit enumeration

@@ -71,6 +71,7 @@ def test_canonicalize_preserves_evaluate_exhaustively():
                 if k < n:
                     largest[k] = max(i, largest.get(k, 0))
             assert canon == ChvatalCondition(n, sorted((i, k) for k, i in largest.items()))
+            assert frontier_sequence(c) == frontier_sequence(canon)
             for seq in seqs:
                 assert evaluate(c, seq) == evaluate(canon, seq)
 
@@ -109,12 +110,20 @@ def test_blocking_condition_examples():
     assert blocking_condition(parse_sequence("2^2 3^3 5")) == cond("d2>=3 | d5>=4", 6)
     assert blocking_condition(DegreeSequence((3, 3, 3, 3))) == ChvatalCondition(4, ())
     assert blocking_condition(DegreeSequence((0, 0, 0))) == cond("d3>=1", 3)
+    # reference rule: canonicalize the raw condition d_j >= pi_j + 1 over every j with pi_j < n
+    rng = random.Random(31)
+    seqs = [seq for n in range(1, 9) for seq in all_valid_sequences(n)]
+    seqs += [random_valid_sequence(rng, rng.randint(1, 60)) for _ in range(20_000)]
+    for seq in seqs:
+        n = len(seq)
+        raw = ChvatalCondition(n, [(j, d + 1) for j, d in enumerate(seq, 1) if d + 1 <= n])
+        assert blocking_condition(seq) == canonicalize(raw), seq
 
 
 def test_frontier_examples():
     assert frontier_sequence(cond("d2>=3 | d5>=4", 6)) == parse_sequence("2^2 3^3 5")
     assert frontier_sequence(ChvatalCondition(4, ())) == (3, 3, 3, 3)
-    # non-canonical input is canonicalized first
+    # non-canonical clauses expand to the same sequence as their canonical form
     raw = ChvatalCondition(6, ((1, 3), (2, 3), (3, 4), (4, 4), (5, 4), (6, 6)))
     assert frontier_sequence(raw) == parse_sequence("2^2 3^3 5")
 

@@ -101,6 +101,10 @@ def test_condition_normalizes_and_validates():
             ChvatalCondition(n, clauses)
         with pytest.raises(TypeError):
             condition_from_json({"n": n, "clauses": clauses})
+    # JSON booleans are not integers either, though the constructor would take them
+    for n, clauses in ((True, [[True, True]]), (True, []), (3, [[True, 2]]), (3, [[1, False]])):
+        with pytest.raises(TypeError):
+            condition_from_json({"n": n, "clauses": clauses})
     assert condition_from_json({"n": 5, "clauses": [[1, 2], [3, 4]]}) == cond
     # _replace rebuilds through the same checks
     assert cond._replace(n=4) == ChvatalCondition(4, ((1, 2), (3, 4)))

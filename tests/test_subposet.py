@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from functools import reduce
@@ -98,6 +100,11 @@ def test_family_sinks_equal_sweep_sinks():
     cases = [(n, t) for n in range(1, 7) for t in ORACLE_TS] + [(7, Fraction(1, 2)), (7, Fraction(1))]
     for n, t in cases:
         assert sweep_sinks(n, t) == tuple(compute_sinks(edge_maximal_tough_sequences(n, t))), (n, t)
+    # the edge-maximal sequences themselves, pinned from the mask-at-a-time scan
+    doc = [[n, str(t), [list(s) for s in edge_maximal_tough_sequences(n, t)]]
+           for n in range(1, 8) for t in ORACLE_TS]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == (
+        "0458ccd1c122db672a93063c147f4226cd62f1dde3674a1b057fa7cf89fef951")
 
 
 def test_family_members_are_not_t_tough():
@@ -343,15 +350,12 @@ def test_report_group_counts_against_partition_formula():
 
 
 def test_claim4_bridge_holds_where_invoked():
-    from toughseq.partitions import count_partitions, partition_function
+    from toughseq.partitions import claim4_identity
 
     for k, m in [(2, 9), (3, 9), (2, 5), (3, 5), (4, 4)]:
         n = m * (k + 1)
         for j in range(1, m - 1):  # j <= m - 2
-            big_n = n - j * (k + 1) - 1
-            left = partition_function(big_n) - count_partitions(big_n, max_parts=big_n - k)
-            right = 1 + sum(partition_function(s) for s in range(1, k))
-            assert left == right, (k, m, j)
+            assert claim4_identity(k, n - j * (k + 1) - 1), (k, m, j)
 
 
 @pytest.mark.parametrize("k, m, certified", [
