@@ -8,15 +8,15 @@ enumeration cheap at oracle scale.  All toughness values are exact
 One cutset scan, ``_cutsets``, serves ``toughness``, ``is_t_tough``
 and ``is_k_connected``: it yields (X, omega(G - X)) for every cutset X,
 X as vertex bits, by size, then lexicographically, and each caller
-supplies the size at which to stop.  It is the only cutset loop:
-``tough_mask_table`` reads toughness off the definition instead, since a
-graph is not t-tough exactly when it spans some labeled K_X + (K_B1 u
-... u K_Bw) with (|X|, w) in ``_terms(n, t)``, so the non-t-tough masks
-are the down-closure of those few graphs' masks.  ``_terms`` is the one
-list of these shapes: ``subposet.family`` reads the same (x, w) pairs.
+supplies the size at which to stop.  It is the only cutset loop: the
+sweep oracle reads toughness off the definition, as a graph is not
+t-tough exactly when it spans a labeled K_X + (K_B1 u ... u K_Bw)
+with (|X|, w) in ``_terms(n, t)``, a ``_spanning_masks`` shape; the
+table closes their masks downward, and the edge-maximal graphs are the
+shapes inside no other.  ``subposet.family`` reads the same (x, w) pairs.
 
-Exhaustive sweeps enumerate every labeled graph on n vertices (all
-2^(n(n-1)/2) edge masks).  Edge bit b of a mask encodes the pair
+Sweeps cover all 2^(n(n-1)/2) labeled graphs on n vertices as edge
+masks, a format no other module reads.  Edge bit b encodes the pair
 ``edge_pairs(n)[b]``, pairs ordered (0,1), (0,2), ..., (1,2), ...;
 "lowest adjacency encoding" in tie-breaks refers to this mask value.
 """
@@ -53,6 +53,7 @@ __all__ = [
     "edge_pairs",
     "iter_labeled_graphs",
     "tough_mask_table",
+    "edge_maximal_tough_sequences",
 ]
 
 MAX_VERTICES = 24          # construction limit: beyond this nothing here is exact-sweep friendly
@@ -100,12 +101,7 @@ class Graph:
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Graph":
         """Decode an edge mask under the fixed pair ordering."""
-        rows = [0] * n
-        for b, (u, v) in enumerate(edge_pairs(n)):
-            if mask >> b & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        return cls.from_rows(n, rows)
+        return cls(n, (pair for b, pair in enumerate(edge_pairs(n)) if mask >> b & 1))
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
@@ -322,18 +318,12 @@ def _gray_walk(n: int):
     for i in range(1, 1 << m):
         b = (i & -i).bit_length() - 1
         u, v = pairs[b]
-        bit = 1 << b
-        gray ^= bit
-        if gray & bit:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-            degs[u] += 1
-            degs[v] += 1
-        else:
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-            degs[u] -= 1
-            degs[v] -= 1
+        gray ^= 1 << b
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        step = 1 if gray >> b & 1 else -1
+        degs[u] += step
+        degs[v] += step
         yield gray, rows, degs
 
 
@@ -379,34 +369,24 @@ def _terms(n: int, t):
         yield n - 1, 1
 
 
-@lru_cache(maxsize=None)
-def tough_mask_table(n: int, t) -> bytes:
-    """Table over all edge masks: entry 1 iff the graph is t-tough.
+def _spanning_masks(n: int, t):
+    """Yield the edge masks of the labeled K_X + (K_B1 u ... u K_Bw), (|X|, w) in ``_terms(n, t)``.
 
-    Shared by the acceptance sweeps and the edge-maximal machinery;
-    cached per (n, t) since a single n=7 fill covers 2^21 graphs.
-
-    Filled from the definition, without a cutset scan.  A non-complete
-    G has tau(G) < t iff some X leaves w(G - X) > |X|/t components with
-    w(G - X) >= 2; merging components down to w = max(2, floor(|X|/t) + 1)
-    blocks B_1..B_w shows that this holds iff G is a spanning subgraph of
-    the labeled K_X + (K_B1 u ... u K_Bw), for some (|X|, w) in
-    ``_terms(n, t)`` and some split of V - X into w blocks.  So the edge
-    masks of those graphs are marked (each one the OR of the cliques on
-    X u B_i), the marks are closed downward one edge bit at a time over
-    a big integer holding one byte per mask, and the result is flipped.
-    K_n (tau = n - 1 by convention) needs no case of its own: when
-    n - 1 < t the terms end with (n - 1, 1), whose one block marks K_n;
-    every other marked graph lacks the edges between its blocks.
+    Their spanning subgraphs are exactly the non-t-tough graphs.  A
+    non-complete G has tau(G) < t iff some X leaves w(G - X) > |X|/t
+    components with w(G - X) >= 2; merging components down to
+    w = max(2, floor(|X|/t) + 1) blocks B_1..B_w shows that this holds
+    iff G spans one of these graphs, each mask the OR of the cliques on
+    X u B_i.  K_n (tau = n - 1 by convention) needs no case of its own:
+    when n - 1 < t the terms end with (n - 1, 1), whose one block gives
+    K_n; every other shape lacks the edges between its blocks.
     """
     if n > SWEEP_LIMIT:
         raise ValueError(f"toughness tables limited to n <= {SWEEP_LIMIT}")
     w_for = dict(_terms(n, t))
     pairs = edge_pairs(n)
-    size = 1 << len(pairs)
     clique_on = [sum(1 << b for b, (u, v) in enumerate(pairs) if s >> u & s >> v & 1)
                  for s in range(1 << n)]
-    marked = bytearray(size)
     everyone = (1 << n) - 1
     for xmask in range(1 << n):
         w = w_for.get(xmask.bit_count())
@@ -415,18 +395,46 @@ def tough_mask_table(n: int, t) -> bytes:
                 mask = 0
                 for block in blocks:
                     mask |= clique_on[xmask | block]
-                marked[mask] = 1
+                yield mask
+
+
+@lru_cache(maxsize=None)
+def tough_mask_table(n: int, t) -> bytes:
+    """Table over all edge masks: entry 1 iff the graph is t-tough.
+
+    Cached per (n, t) since a single n=7 fill covers 2^21 graphs.  No
+    cutset scan: the ``_spanning_masks`` are marked, the marks closed
+    downward one edge bit at a time over a big integer holding one byte
+    per mask, and the result flipped.
+    """
+    shapes = list(_spanning_masks(n, t))  # refuses n and t before the table is allocated
+    m = n * (n - 1) // 2
+    size = 1 << m
+    marked = bytearray(size)
+    for mask in shapes:
+        marked[mask] = 1
     below = int.from_bytes(marked, "little")
-    for b in range(len(pairs)):
-        below |= below >> (8 << b) & _lacking(size, b)
+    for b in range(m):
+        half = 1 << b  # byte j is 1 iff mask j lacks bit b: runs of 2^b ones, then 2^b zeros
+        lacking = int.from_bytes((b"\x01" * half + bytes(half)) * (size >> b + 1), "little")
+        below |= below >> (8 << b) & lacking
     ones = int.from_bytes(b"\x01" * size, "little")
     return (below ^ ones).to_bytes(size, "little")
 
 
-def _lacking(size: int, b: int) -> int:
-    """Byte-per-mask integer over masks 0..size-1: byte m is 1 iff m lacks edge bit b."""
-    half = 1 << b  # the masks lacking bit b come in runs of 2^b bytes
-    return int.from_bytes((b"\x01" * half + bytes(half)) * (size >> b + 1), "little")
+@lru_cache(maxsize=None)
+def edge_maximal_tough_sequences(n: int, t) -> tuple[DegreeSequence, ...]:
+    """Degree sequences of all edge-maximal non-t-tough graphs on n vertices.
+
+    Exhaustive over labeled graphs (small n only): a graph qualifies if
+    it is not t-tough but every single-edge supergraph is.  As the
+    non-t-tough graphs are the spanning subgraphs of the
+    ``_spanning_masks`` shapes, these are the shapes inside no other
+    shape; when n - 1 < t that leaves K_n, the shape (n - 1, 1).
+    """
+    shapes = set(_spanning_masks(n, t))
+    return tuple(sorted({Graph.from_mask(n, s).degree_sequence() for s in shapes
+                         if not any(s | o == o != s for o in shapes)}))
 
 
 def parse_graph(text: str) -> Graph:

@@ -13,19 +13,19 @@ x = j >= 1, the same (j, parts, degrees) tuples from
 ``enumerate_family``, grouped by j in ``subposet_report``.  Its sinks
 are ``compute_sinks`` over that slice, the sinks of ``family(n, 1/k)``
 with a complete degree n - 1: every x >= 1 member has one, and no
-x = 0 member can majorize one.  The exhaustive labeled-graph sweep
-(``edge_maximal_tough_sequences``, small n) stays as the oracle.
+x = 0 member can majorize one.  The exhaustive labeled-graph oracle
+(``graphs.edge_maximal_tough_sequences``, small n) lives in ``graphs``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import NamedTuple
 
 from .conditions import ChvatalCondition, blocking_condition, frontier_sequence
-from .graphs import Graph, _lacking, _terms, edge_pairs, tough_mask_table
+# perfbench/tracing.py wraps the last two by their subposet names, so they are re-exported here
+from .graphs import _terms, edge_maximal_tough_sequences, tough_mask_table
 from .partitions import count_partitions, enumerate_partitions, partition_function
 from .sequences import DegreeSequence, majorizes
 
@@ -39,7 +39,6 @@ __all__ = [
     "subposet_report",
     "generate_best_monotone",
     "is_weakly_optimal",
-    "edge_maximal_tough_sequences",
     "sweep_sinks",
 ]
 
@@ -265,14 +264,19 @@ def subposet_report(k: int, n: int, verify_claims: bool = True) -> SinkReport:
 
 
 def generate_best_monotone(sinks) -> list[ChvatalCondition]:
-    """One blocking condition per sink, canonical and deduplicated.
+    """One canonical blocking condition per sink, in the order given.
 
-    A sequence satisfies every emitted condition exactly when no sink
-    majorizes it, so the collection declares precisely the sequences
-    outside the subposet's shadow.  Distinct sinks give distinct
-    conditions, since frontier_sequence inverts blocking_condition.
+    sinks is ``compute_sinks`` output as built, sorted distinct
+    DegreeSequences; other input raises ValueError.  A sequence
+    satisfies every emitted condition exactly when no sink majorizes
+    it, so the collection declares precisely the sequences outside the
+    subposet's shadow.  Distinct sinks give distinct conditions, since
+    frontier_sequence inverts blocking_condition.
     """
-    return [blocking_condition(sink) for sink in sorted({DegreeSequence(s) for s in sinks})]
+    ordered = all(a < b for a, b in zip(sinks, sinks[1:]))
+    if not ordered or not all(isinstance(s, DegreeSequence) for s in sinks):
+        raise ValueError("sinks must be sorted, distinct DegreeSequences (compute_sinks output)")
+    return [blocking_condition(s) for s in sinks]
 
 
 def is_weakly_optimal(cond: ChvatalCondition, sinks):
@@ -286,32 +290,6 @@ def is_weakly_optimal(cond: ChvatalCondition, sinks):
     """
     frontier = frontier_sequence(cond)
     return next((sink for sink in sinks if majorizes(sink, frontier)), None)
-
-
-@lru_cache(maxsize=None)
-def edge_maximal_tough_sequences(n: int, t) -> tuple[DegreeSequence, ...]:
-    """Degree sequences of all edge-maximal non-t-tough graphs on n vertices.
-
-    Exhaustive over labeled graphs (small n only): a graph qualifies if
-    it is not t-tough but every single-edge supergraph is (the complete
-    graph qualifies vacuously when t > n-1).  Found by the edge-bit step
-    of ``tough_mask_table``: per edge bit b, a mask lacking b stays iff
-    the mask with b added is t-tough.
-    """
-    table = tough_mask_table(n, t)
-    size = len(table)
-    tough = int.from_bytes(table, "little")
-    ones = int.from_bytes(b"\x01" * size, "little")
-    maximal = ones ^ tough
-    for b in range(len(edge_pairs(n))):  # bytes are 0 or 1, so ORing 1 passes masks with b
-        maximal &= tough >> (8 << b) | ones ^ _lacking(size, b)
-    found = maximal.to_bytes(size, "little")
-    seqs = set()
-    mask = found.find(1)
-    while mask >= 0:
-        seqs.add(Graph.from_mask(n, mask).degree_sequence())
-        mask = found.find(1, mask + 1)
-    return tuple(sorted(seqs))
 
 
 def sweep_sinks(n: int, t) -> tuple[DegreeSequence, ...]:

@@ -98,6 +98,8 @@ def test_check_at_sequence_limit_runs(capsys):
 def test_check_rejects_floats_and_bad_input(capsys):
     assert run(capsys, "check", "--tough", "1.5", "--seq", "4^5")[0] == 2
     assert run(capsys, "check", "--tough", "1/1", "--seq", "nonsense")[0] == 2
+    assert run(capsys, "check", "--connected", "1", "--seq", "0") == (
+        2, "", "error: k-connectivity conditions need n >= 2\n")
 
 
 def test_toughness_command(capsys, tmp_path):

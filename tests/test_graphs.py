@@ -10,8 +10,10 @@ from toughseq.graphs import (
     Graph,
     HAMILTONICITY_LIMIT,
     ToughnessResult,
+    _spanning_masks,
     clique,
     components,
+    edge_maximal_tough_sequences,
     edge_pairs,
     empty_graph,
     graph_to_json,
@@ -92,9 +94,11 @@ def test_graph_validation():
                  lambda: list(iter_labeled_graphs(0)), lambda: list(iter_labeled_graphs(-1)),
                  lambda: iter_labeled_graphs(0))  # refused at the call, before any step
     too_many = (lambda: list(iter_labeled_graphs(8)), lambda: iter_labeled_graphs(8))
+    too_many_tables = (lambda: tough_mask_table(8, 1), lambda: edge_maximal_tough_sequences(8, 1))
     for builds, message in ((too_large, "graph too large: 25 > 24"),
                             (too_small, "graph needs at least one vertex"),
-                            (too_many, "labeled sweep limited to n <= 7")):
+                            (too_many, "labeled sweep limited to n <= 7"),
+                            (too_many_tables, "toughness tables limited to n <= 7")):
         for build in builds:
             with pytest.raises(ValueError) as info:
                 build()
@@ -102,6 +106,9 @@ def test_graph_validation():
     for g in (clique(24), empty_graph(24), Graph(24), union(clique(12), clique(12)),
               join(clique(20), empty_graph(4))):
         assert g.n == 24
+    # equal graphs hash alike, and repr shows the edge list
+    assert hash(Graph(3, [(0, 1)])) == hash(Graph.from_mask(3, 1))
+    assert repr(Graph(3, [(1, 2), (0, 1)])) == "Graph(3, [(0, 1), (1, 2)])"
 
 
 def test_join_union_degree_arithmetic():
@@ -202,6 +209,7 @@ def test_hamiltonicity():
     assert not is_hamiltonian(path(4))
     assert not is_hamiltonian(clique(2))
     assert is_hamiltonian(clique(3))
+    assert not is_hamiltonian(union(clique(3), clique(3)))  # minimum degree 2, disconnected
     with pytest.raises(ValueError):
         is_hamiltonian(clique(HAMILTONICITY_LIMIT + 1))
 
@@ -215,6 +223,8 @@ def test_k_connectivity():
     assert is_k_connected(cycle(5), 2)
     assert not is_k_connected(cycle(5), 3)
     assert is_k_connected(empty_graph(1), 0)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        is_k_connected(clique(3), -1)
 
 
 def test_cutset_engine_against_definitions():
@@ -299,11 +309,24 @@ N6_TABLES = {
 def test_tough_table_matches_direct_checks():
     for n in (1, 2, 3, 4, 5):
         for p, q in N6_TABLES:
-            table = tough_mask_table(n, Fraction(p, q))
+            t = Fraction(p, q)
+            table = tough_mask_table(n, t)
             assert len(table) == 1 << len(edge_pairs(n))
             for mask in range(len(table)):
                 g = Graph.from_mask(n, mask)
-                assert bool(table[mask]) == is_t_tough(g, Fraction(p, q)), (n, p, q, mask)
+                assert bool(table[mask]) == is_t_tough(g, t), (n, p, q, mask)
+            # the spanning shapes are not t-tough, and by the cutset engine adding any
+            # missing edge makes a shape t-tough exactly when no other shape contains it
+            shapes = set(_spanning_masks(n, t))
+            maximal = set()
+            for s in shapes:
+                assert not is_t_tough(Graph.from_mask(n, s), t), (n, p, q, s)
+                grown = [s | 1 << b for b in range(len(edge_pairs(n))) if not s >> b & 1]
+                edge_maximal = all(is_t_tough(Graph.from_mask(n, m), t) for m in grown)
+                assert edge_maximal == (not any(s | o == o != s for o in shapes)), (n, p, q, s)
+                if edge_maximal:
+                    maximal.add(Graph.from_mask(n, s).degree_sequence())
+            assert edge_maximal_tough_sequences(n, t) == tuple(sorted(maximal)), (n, p, q)
     rng = random.Random(3)
     for (p, q), pinned in N6_TABLES.items():
         table = tough_mask_table(6, Fraction(p, q))
@@ -312,8 +335,9 @@ def test_tough_table_matches_direct_checks():
             mask = rng.getrandbits(len(edge_pairs(6)))
             assert bool(table[mask]) == is_t_tough(Graph.from_mask(6, mask), Fraction(p, q))
     for n in (0, -3):
-        with pytest.raises(ValueError, match="n must be >= 1"):
-            tough_mask_table(n, 1)
+        for oracle in (tough_mask_table, edge_maximal_tough_sequences):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                oracle(n, 1)
 
 
 # the same at n = 7; the first seven entries were recorded from the fill that

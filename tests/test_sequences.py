@@ -43,6 +43,7 @@ def test_format_examples():
     assert format_sequence(DegreeSequence((4, 4, 4, 4, 4, 5, 5, 6))) == "4^5 5^2 6"
     assert format_sequence(DegreeSequence((0, 0, 0))) == "0^3"
     assert format_sequence(DegreeSequence((0,))) == "0"
+    assert str(DegreeSequence((3, 1, 2, 2))) == "1 2^2 3"
 
 
 def test_constructor_sorts_and_validates():

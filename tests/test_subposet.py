@@ -79,6 +79,8 @@ def test_family_structure_invariants():
                 assert g.degree_sequence() == degrees
                 assert not is_t_tough(g, Fraction(1, k))
     assert enumerate_family(3, 4) == []  # too small: empty, not an error
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        enumerate_family(0, 5)
 
 
 def test_family_members_are_edge_maximal():
@@ -382,6 +384,11 @@ def test_generate_best_monotone_examples():
     conds = generate_best_monotone([parse_sequence("2^2 3^3 5")])
     assert conds == [parse_condition("d2>=3 | d5>=4", 6)]
     assert generate_best_monotone([]) == []
+    # unsorted entries, a repeated sink or sinks out of order are refused, not misread
+    seq = parse_sequence("1 2^2 3")
+    for bad in ([(3, 1, 2, 2)], [seq, seq], [seq, parse_sequence("0 2^2 3")]):
+        with pytest.raises(ValueError, match="sorted, distinct DegreeSequences"):
+            generate_best_monotone(bad)
 
 
 def test_generated_theorem_declares_exactly_non_dominated():
