@@ -6,15 +6,16 @@ mirror of the text output (all JSON carries "schema": 1).
 
 Exit codes: 0 success / declared / true, 1 well-formed negative
 verdict, 2 usage or input error.  theorem --best-monotone and
-verify-optimality take the sinks of all non-t-tough graphs from the
-closed-form family of subposet.family at any n; sinks and
-verify-optimality --family-sinks take the sinks of its connected slice,
-subposet.enumerate_family(k, n).  All refuse a query whose family,
-counted up front, exceeds FAMILY_LIMIT members or ENTRY_LIMIT entries;
-sinks also refuses k - 1 above R_LIMIT, since its bound counts the
-partitions of k - 1; partitions --list refuses more than LIST_LIMIT
-partitions; check and theorem refuse n above SEQUENCE_LIMIT, and
-partitions r above R_LIMIT, before allocating anything of that size.
+verify-optimality take the sinks of all non-t-tough graphs from
+subposet.sweep_sinks at any n; verify-optimality --family-sinks keeps
+those with a complete degree n - 1 (none at n = 1), the sinks of the
+connected slice that sinks reports through subposet.subposet_report.
+All refuse a query whose family, counted up front, exceeds FAMILY_LIMIT
+members or ENTRY_LIMIT entries; sinks also refuses k - 1 above R_LIMIT,
+since its bound counts the partitions of k - 1; partitions --list
+refuses more than LIST_LIMIT partitions; check and theorem refuse n
+above SEQUENCE_LIMIT, and partitions r above R_LIMIT, before allocating
+anything of that size.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .conditions import (
 from .graphs import read_graph, toughness
 from .partitions import count_partitions, enumerate_partitions
 from .sequences import SEQUENCE_LIMIT, NotGraphicalError, format_sequence, parse_sequence
-from .subposet import (compute_sinks, enumerate_family, family_size, generate_best_monotone,
-                       is_weakly_optimal, subposet_report, sweep_sinks)
+from .subposet import (family_size, generate_best_monotone, is_weakly_optimal, subposet_report,
+                       sweep_sinks)
 
 SCHEMA = 1
 LIST_LIMIT = 100_000  # partitions --list refuses larger counts; p(45) = 89,134 still lists
@@ -223,12 +224,10 @@ def cmd_partitions(args) -> tuple[int, dict, list[str]]:
 def cmd_verify_optimality(args) -> tuple[int, dict, list[str]]:
     n = _family_n(args)
     cond = canonicalize(parse_condition(args.condition, n))
-    if args.family_sinks:
-        sinks = compute_sinks([degrees for _, _, degrees in enumerate_family(args.k, n)])
-        source = "connected family"
-    else:
-        sinks = sweep_sinks(n, Fraction(1, args.k))
-        source = "exhaustive sweep"
+    sinks = sweep_sinks(n, Fraction(1, args.k))
+    if args.family_sinks:  # the connected slice's sinks are those with a complete degree
+        sinks = tuple(s for s in sinks if n > 1 and s[-1] == n - 1)
+    source = "connected family" if args.family_sinks else "exhaustive sweep"
     frontier = frontier_sequence(cond)
     witness = is_weakly_optimal(cond, sinks)
     result = witness is not None

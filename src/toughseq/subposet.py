@@ -9,18 +9,21 @@ sequences) of all non-t-tough graphs are those of the closed-form
 fills the sweep's ``tough_mask_table``.  One Chvatal-type condition
 per sink yields a best monotone theorem, and the number of sinks
 lower-bounds its size.  The paper's 1/k family is the connected slice
-x = j >= 1, the same (j, parts, degrees) tuples from
-``enumerate_family``, grouped by j in ``subposet_report``.  Its sinks
-are ``compute_sinks`` over that slice, the sinks of ``family(n, 1/k)``
-with a complete degree n - 1: every x >= 1 member has one, and no
-x = 0 member can majorize one.  The exhaustive labeled-graph oracle
-(``graphs.edge_maximal_tough_sequences``, small n) lives in ``graphs``.
+x = j >= 1 (``enumerate_family``, read group by group in one pass by
+``subposet_report``).  Its sinks are those of ``family(n, 1/k)`` with a
+complete degree n - 1 (none at n = 1): every x >= 1 member has one,
+and no x = 0 member can majorize one.  Only ``_terms`` knows t: the
+list [(k - 1, 2)] gives the Bondy-Boesch k-connectivity theorem.  The
+exhaustive labeled-graph oracle (``graphs.edge_maximal_tough_sequences``,
+small n) lives in ``graphs``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .conditions import ChvatalCondition, blocking_condition, frontier_sequence
@@ -226,24 +229,21 @@ def subposet_report(k: int, n: int, verify_claims: bool = True) -> SinkReport:
     noncomplete degree reaches n - k(j+1) is a sink) is a lookup in the
     sinks already found.
     """
-    members = enumerate_family(k, n)  # checks k and n
+    members = enumerate_family(k, n)  # checks k and n; j ascending, as family yields x
     m = n // (k + 1) if n % (k + 1) == 0 else None
-    by_group: dict[int, list[tuple]] = {}  # j ascending, as family yields x
-    for j, _, degrees in members:
-        by_group.setdefault(j, []).append(degrees)
-
     groups = []
-    for j, seqs in by_group.items():
+    claim2: bool | None = True if verify_claims else None
+    for j, run in groupby(members, key=itemgetter(0)):
+        seqs = [degrees for _, _, degrees in run]
         reduced = n - j * (k + 1) - 1
         expected = count_partitions(reduced, max_parts=k * j + 1)
         groups.append(GroupStat(j, len(seqs), expected, reduced))
+        claim2 = claim2 and _is_antichain(seqs, j, n - 1)
 
     sinks = compute_sinks([degrees for _, _, degrees in members])
 
-    claim2: bool | None = None
     claim3: bool | None = None
     if verify_claims:
-        claim2 = all(_is_antichain(seqs, j, n - 1) for j, seqs in by_group.items())
         sink_set = set(sinks)
         claim3 = all(
             degrees in sink_set

@@ -429,6 +429,15 @@ def test_sweep_commands_below_two_vertices(capsys):
     assert run(capsys, "theorem", "--t", "1", "--n", "1", "--best-monotone") == (0, "false\n", "")
     code, out, _ = run(capsys, "verify-optimality", "--condition", "d1>=1", "--k", "1", "--n", "1")
     assert code == 0 and "majorizing sink: 0" in out
+    # the connected family has no member on one or two vertices: K_1's degree 0 is
+    # n - 1, yet K_1 is no member, and K_1 u K_1 has no complete degree
+    for n, cond, frontier in (("1", "false", "0"), ("2", "d1>=1", "0 1")):
+        expected = (f"condition: {cond} (n = {n})\n"
+                    "property: 1/1-tough  (sinks from connected family: 0)\n"
+                    f"frontier sequence: {frontier}\n"
+                    "weakly optimal: no\n")
+        assert run(capsys, "verify-optimality", "--condition", "d1>=1", "--k", "1", "--n", n,
+                   "--family-sinks") == (1, expected, "")
     for n in ("0", "-3"):
         for argv in (("theorem", "--t", "1", "--n", n, "--best-monotone"),
                      ("verify-optimality", "--condition", "d1>=1", "--k", "1", "--n", n)):

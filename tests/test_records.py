@@ -1,6 +1,5 @@
 """The result records are immutable NamedTuples, and importing the CLI stays light."""
 
-import os
 import pickle
 import subprocess
 import sys
@@ -18,16 +17,15 @@ from toughseq.subposet import GroupStat, SinkReport
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
-    # a fresh interpreter, so nothing the test session imported can hide a regression
+    # a fresh interpreter, so nothing the test session imported can hide a regression,
+    # and without site, whose .pth files may load inspect before any user code runs
     src = str(Path(toughseq.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    code = ("import sys; bare = set(sys.modules); import toughseq.cli; "
-            "print(' '.join(sorted(set(sys.modules) - bare)))")
-    added = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                           text=True, check=True).stdout.split()
-    assert "toughseq.cli" in added
-    assert "dataclasses" not in added and "inspect" not in added
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import toughseq.cli; "
+            "print(' '.join(sorted(sys.modules)))")
+    loaded = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert "toughseq.cli" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 SEQ = DegreeSequence((1, 1, 2))

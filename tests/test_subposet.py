@@ -7,7 +7,12 @@ from math import lcm
 
 import pytest
 
-from toughseq.checkers import check_tough_ge1, check_tough_le1, tough_ge1_conditions
+from toughseq.checkers import (
+    check_tough_ge1,
+    check_tough_le1,
+    kconnected_conditions,
+    tough_ge1_conditions,
+)
 from toughseq.conditions import (
     ChvatalCondition,
     blocking_condition,
@@ -18,7 +23,7 @@ from toughseq.conditions import (
 )
 from toughseq import subposet
 from toughseq.cli import main
-from toughseq.graphs import clique, is_t_tough, join, union
+from toughseq.graphs import clique, is_k_connected, is_t_tough, join, union
 from toughseq.sequences import DegreeSequence, majorizes, parse_sequence
 from toughseq.subposet import (
     compute_sinks,
@@ -416,7 +421,7 @@ def test_sink_soundness_family_vs_sweep():
         return compute_sinks(edge_maximal_tough_sequences(n, t))
 
     cases = [(k, n, labeled_sinks) for k in (1, 2) for n in range(k + 2, 8)]
-    cases += [(k, n, sweep_sinks) for k in range(1, 5) for n in range(1, 31)]
+    cases += [(k, n, sweep_sinks) for k in range(1, 7) for n in range(1, 31)]
     for k, n, sinks_of in cases:
         family_sinks = compute_sinks(
             [degrees for _, _, degrees in enumerate_family(k, n)])
@@ -427,6 +432,28 @@ def test_sink_soundness_family_vs_sweep():
         extra = set(all_sinks) - set(with_complete)
         for s in extra:
             assert s[-1] < n - 1 or n == 1
+
+
+def test_bondy_boesch_is_best_monotone(monkeypatch):
+    # for n >= k + 1 a graph is not k-connected iff it spans K_{k-1} + (K_a u K_b), so
+    # the sink engine keyed by the one-term shape list [(k - 1, 2)] yields the best
+    # monotone k-connectivity theorem: exactly the canonical Bondy-Boesch conditions
+    for n in range(2, 61):
+        for k in range(1, n):
+            monkeypatch.setattr(subposet, "_terms", lambda n, t, x=k - 1: [(x, 2)])
+            sinks = sweep_sinks(n, 1)
+            want = sorted({canonicalize(c) for _, c in kconnected_conditions(n, k)})
+            assert generate_best_monotone(sinks) == want, (n, k)
+            if n > 10:
+                continue
+            # each sink is the degree sequence of its shape, which the cutset engine
+            # finds not k-connected
+            shapes = {degrees: parts for _, parts, degrees in family(n, 1)}
+            for sink in sinks:
+                a, b = shapes[sink]
+                g = union(clique(a), clique(b))
+                g = join(clique(k - 1), g) if k > 1 else g
+                assert g.degree_sequence() == sink and not is_k_connected(g, k), (n, k, sink)
 
 
 def test_sink_violates_only_its_own_condition():
