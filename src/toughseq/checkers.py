@@ -5,14 +5,15 @@ returns a Verdict carrying the full tested condition set.  All index
 ranges with rational bounds are resolved by exact integer arithmetic
 on t = p/q; floating point would silently shift the boundary clauses.
 
-Chvatal's hamiltonian test is the t = 1 toughness test, and rule "ii"
-of the t <= 1 test is the Bondy-Boesch list at k = 1: each condition
-list has one implementation.
+Chvatal's hamiltonian test scans ``hamiltonian_conditions``, the t = 1
+toughness list, and rule "ii" of the t <= 1 test is the Bondy-Boesch
+list at k = 1: each condition list has one implementation.
 
 The checkers are sound but not complete: a sequence that fails may
-still be forcibly P.  For the t >= 1 toughness checker the failure is
-constructive: the verdict carries a majorizing sequence together with
-a realization whose toughness is provably below t.
+still be forcibly P.  For the t >= 1 toughness checker, Chvatal's
+included, the failure is constructive: the verdict carries the failing
+condition's frontier sequence, which majorizes the input, together
+with a realization whose toughness is provably below t.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .conditions import ChvatalCondition, condition_to_json, evaluate
+from .conditions import ChvatalCondition, condition_to_json, evaluate, frontier_sequence
 from .graphs import MAX_VERTICES, Graph, clique, empty_graph, graph_to_json, join, union
 from .sequences import DegreeSequence, NotGraphicalError, _abbreviate, is_graphical
 
@@ -100,34 +101,32 @@ def _scan(seq, indexed, allow_nongraphical: bool, failure) -> Verdict:
     ``indexed`` holds (label..., condition) entries, built by the caller
     first so that an out-of-range n is reported before a non-graphical
     sequence.  The first failing entry becomes a negative Verdict whose
-    extra fields ``failure(*labels)`` supplies.
+    extra fields ``failure(*labels, condition)`` supplies.
     """
     if not allow_nongraphical and not is_graphical(seq):
         raise NotGraphicalError(f"sequence {_abbreviate(seq)} is not graphical")
     conds = tuple(entry[-1] for entry in indexed)
     for *labels, cond in indexed:
         if not evaluate(cond, seq):
-            return Verdict(False, condition_set=conds, **failure(*labels))
+            return Verdict(False, condition_set=conds, **failure(*labels, cond))
     return Verdict(True, condition_set=conds)
 
 
 def hamiltonian_conditions(n: int) -> list[tuple[int, ChvatalCondition]]:
     """Chvatal's conditions (d_i >= i+1 or d_{n-i} >= n-i) for i < n/2: the t = 1 list."""
     if n < 3:
-        raise ValueError("hamiltonicity conditions need n >= 3")
+        raise ValueError("hamiltonicity requires n >= 3")
     return tough_ge1_conditions(1, n)
 
 
 def check_hamiltonian_chvatal(seq, allow_nongraphical: bool = False) -> Verdict:
-    """Chvatal's forcibly-hamiltonian test, which is the t = 1 toughness test.
+    """Chvatal's forcibly-hamiltonian test: the t = 1 toughness scan of ``hamiltonian_conditions``.
 
-    On failure at index i the emitted sequence i^i (n-i-1)^(n-2i) (n-1)^i
-    majorizes the input and is realized by K_i + (K~_i u K_{n-2i}),
+    On failure at index i the witness is that condition's frontier
+    i^i (n-i-1)^(n-2i) (n-1)^i, realized by K_i + (K~_i u K_{n-2i}),
     which is not hamiltonian.
     """
-    if len(seq) < 3:
-        raise ValueError("hamiltonicity requires n >= 3")
-    return check_tough_ge1(seq, 1, allow_nongraphical)
+    return _scan(seq, hamiltonian_conditions(len(seq)), allow_nongraphical, _blocking)
 
 
 def kconnected_conditions(n: int, k: int) -> list[tuple[int, ChvatalCondition]]:
@@ -145,7 +144,7 @@ def kconnected_conditions(n: int, k: int) -> list[tuple[int, ChvatalCondition]]:
 def check_kconnected(seq, k: int, allow_nongraphical: bool = False) -> Verdict:
     """Bondy-Boesch forcibly-k-connected test."""
     return _scan(seq, kconnected_conditions(len(seq), k), allow_nongraphical,
-                 lambda i: {"failing_index": i})
+                 lambda i, _: {"failing_index": i})
 
 
 def tough_ge1_conditions(t, n: int) -> list[tuple[int, ChvatalCondition]]:
@@ -171,26 +170,27 @@ def tough_ge1_conditions(t, n: int) -> list[tuple[int, ChvatalCondition]]:
     return out
 
 
+def _blocking(i: int, cond: ChvatalCondition) -> dict:
+    """Witness for the failing t >= 1 condition d_b >= i+1 or d_{n-i} >= n-b.
+
+    Its frontier i^b (n-b-1)^(n-i-b) (n-1)^i majorizes every violator
+    and is the degree sequence of K_i + (K~_b u K_{n-i-b}), whose
+    toughness i/(b+1) is below t as b = floor(i/t).
+    """
+    n, b = cond.n, cond.clauses[0][0]
+    graph = join(clique(i), union(empty_graph(b), clique(n - i - b))) if n <= MAX_VERTICES else None
+    return {"failing_index": i, "blocking_sequence": frontier_sequence(cond),
+            "blocking_shape": (i, b, n - i - b), "blocking_graph": graph}
+
+
 def check_tough_ge1(seq, t, allow_nongraphical: bool = False) -> Verdict:
     """Best monotone forcibly-t-tough test for t >= 1.
 
-    On failure at index i (with b = floor(i/t)) the emitted sequence
-    i^b (n-b-1)^(n-i-b) (n-1)^i majorizes the input and is realized by
-    K_i + (K~_b u K_{n-i-b}), whose toughness is below t.
+    On failure the witness is the failing condition's frontier sequence,
+    which majorizes the input, with its realization K_i + (K~_b u K_{n-i-b})
+    of toughness below t (b = floor(i/t), the condition's first index).
     """
-    n = len(seq)
-    t = Fraction(t)
-
-    def blocking(i: int) -> dict:
-        b = i * t.denominator // t.numerator
-        graph = None
-        if n <= MAX_VERTICES:
-            graph = join(clique(i), union(empty_graph(b), clique(n - i - b)))
-        witness = DegreeSequence([i] * b + [n - b - 1] * (n - i - b) + [n - 1] * i)
-        return {"failing_index": i, "blocking_sequence": witness,
-                "blocking_shape": (i, b, n - i - b), "blocking_graph": graph}
-
-    return _scan(seq, tough_ge1_conditions(t, n), allow_nongraphical, blocking)
+    return _scan(seq, tough_ge1_conditions(t, len(seq)), allow_nongraphical, _blocking)
 
 
 def tough_le1_conditions(t, n: int) -> list[tuple[str, int, ChvatalCondition]]:
@@ -221,4 +221,4 @@ def check_tough_le1(seq, t, allow_nongraphical: bool = False) -> Verdict:
     witness is emitted; this theorem is not weakly optimal.
     """
     return _scan(seq, tough_le1_conditions(t, len(seq)), allow_nongraphical,
-                 lambda rule, i: {"failing_index": i, "failing_rule": rule})
+                 lambda rule, i, _: {"failing_index": i, "failing_rule": rule})

@@ -100,8 +100,11 @@ class Graph:
 
     @classmethod
     def from_mask(cls, n: int, mask: int) -> "Graph":
-        """Decode an edge mask under the fixed pair ordering."""
-        return cls(n, (pair for b, pair in enumerate(edge_pairs(n)) if mask >> b & 1))
+        """Decode an edge mask under the fixed pair ordering; masks have one bit per pair."""
+        pairs = edge_pairs(n)
+        if not 0 <= mask < 1 << len(pairs):
+            raise ValueError(f"edge mask {mask} out of range for n={n}")
+        return cls(n, (pair for b, pair in enumerate(pairs) if mask >> b & 1))
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
@@ -214,9 +217,11 @@ def _cutsets(g: Graph, stop):
 def toughness(g: Graph) -> ToughnessResult:
     """Exact tau(G) by cutset enumeration; tau(K_n) = n - 1 by convention.
 
-    Only a strictly smaller ratio replaces the witness, so the first
-    cutset in scan order attaining tau is reported.  Once |X|/(n-|X|)
-    cannot beat the best ratio, larger sizes are skipped (that quotient
+    The best ratio is kept as integers x/w, from n/1 (above every
+    cutset's ratio), and compared by cross-multiplying as in
+    ``is_t_tough``.  Only a strictly smaller ratio replaces the witness,
+    so the first cutset in scan order attaining tau is reported.  Once
+    |X|/(n-|X|) cannot beat x/w, larger sizes are skipped (that quotient
     lower bounds every ratio at that size).
     """
     n = g.n
@@ -224,18 +229,11 @@ def toughness(g: Graph) -> ToughnessResult:
         raise ValueError(f"exact toughness limited to n <= {TOUGHNESS_LIMIT}")
     if g.is_complete():
         return ToughnessResult(Fraction(n - 1), None, None)
-    best = None  # (ratio, X, omega)
-
-    def beaten(size):
-        return best is not None and Fraction(size, n - size) >= best[0]
-
-    for xs, w in _cutsets(g, beaten):
-        ratio = Fraction(len(xs), w)
-        if best is None or ratio < best[0]:
-            best = (ratio, xs, w)
-    assert best is not None  # non-complete graphs always have a cutset
-    ratio, xs, w = best
-    return ToughnessResult(ratio, tuple(b.bit_length() - 1 for b in xs), w)
+    x, w, witness = n, 1, ()
+    for xs, c in _cutsets(g, lambda size: size * w >= x * (n - size)):
+        if len(xs) * w < x * c:
+            x, w, witness = len(xs), c, xs
+    return ToughnessResult(Fraction(x, w), tuple(b.bit_length() - 1 for b in witness), w)
 
 
 def is_t_tough(g: Graph, t) -> bool:
@@ -301,10 +299,9 @@ def iter_labeled_graphs(n: int):
     shared and mutated in place: consume, don't store.  n is checked
     at the call, not on the first step.
     """
-    if n < 1:
-        raise ValueError("graph needs at least one vertex")
     if n > SWEEP_LIMIT:
         raise ValueError(f"labeled sweep limited to n <= {SWEEP_LIMIT}")
+    _check_size(n)
     return _gray_walk(n)
 
 

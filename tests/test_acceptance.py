@@ -17,7 +17,7 @@ from toughseq.checkers import (
     tough_ge1_conditions,
 )
 from toughseq.conditions import blocking_condition, canonicalize, equivalent, frontier_sequence
-from toughseq.graphs import Graph, clique, empty_graph, join, toughness, union
+from toughseq.graphs import Graph, ToughnessResult, clique, empty_graph, join, toughness, union
 from toughseq.partitions import claim4_identity, count_partitions, enumerate_partitions, partition_function
 from toughseq.sequences import DegreeSequence
 from toughseq.subposet import subposet_report
@@ -47,10 +47,12 @@ def test_criterion_3_constructive_weak_optimality():
                 b = i * t.denominator // t.numerator
                 g = join(clique(i), union(empty_graph(b), clique(n - i - b)))
                 blocking = DegreeSequence([i] * b + [n - b - 1] * (n - i - b) + [n - 1] * i)
-                tau = toughness(g).value
-                if not (tau < t and g.degree_sequence() == blocking):
-                    bad.append((t, n, i, tau))
-    _report(3, "blocking graphs: exact tau < t, degrees match", not bad, str(bad[:3]))
+                # tau = i/(b+1) < t, first attained by the join clique, leaving b + 1 components
+                result = toughness(g)
+                expected = ToughnessResult(Fraction(i, b + 1), tuple(range(i)), b + 1)
+                if not (result == expected and result.value < t and g.degree_sequence() == blocking):
+                    bad.append((t, n, i, result))
+    _report(3, "blocking graphs: exact tau = i/(b+1) < t, witness, degrees match", not bad, str(bad[:3]))
 
 
 def test_criterion_4_tough_ge1_soundness_oracle():

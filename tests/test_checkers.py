@@ -47,7 +47,7 @@ def test_hamiltonian_examples():
 def test_hamiltonian_errors():
     with pytest.raises(ValueError):
         check_hamiltonian_chvatal(DegreeSequence((1, 1)))
-    with pytest.raises(ValueError, match="hamiltonicity conditions need n >= 3"):
+    with pytest.raises(ValueError, match="hamiltonicity requires n >= 3"):
         hamiltonian_conditions(2)
     with pytest.raises(NotGraphicalError):
         check_hamiltonian_chvatal(DegreeSequence((1, 3, 3, 3)))

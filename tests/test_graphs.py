@@ -55,7 +55,11 @@ def components_without(g, xs):
 
 
 def engine_graphs():
-    """All graphs with n <= 5, then seeded random graphs with n = 6..9."""
+    """All graphs with n <= 5, seeded random graphs with n = 6..9, then G(n, p) with n = 10..13.
+
+    The G(n, p) graphs have witnesses of up to 8 vertices, where the
+    toughness scan's early stop and its ratio ties are exercised.
+    """
     for n in range(1, 6):
         for mask in range(1 << len(edge_pairs(n))):
             yield Graph.from_mask(n, mask)
@@ -63,6 +67,10 @@ def engine_graphs():
     for n in range(6, 10):
         for _ in range(12):
             yield Graph.from_mask(n, rng.getrandbits(len(edge_pairs(n))))
+    rng = random.Random(3)
+    for n in range(10, 14):
+        for p in (0.3, 0.5, 0.8):
+            yield Graph(n, [pair for pair in edge_pairs(n) if rng.random() < p])
 
 
 def test_construction_examples():
@@ -93,12 +101,16 @@ def test_graph_validation():
                  lambda: Graph.from_rows(0, ()), lambda: Graph.from_mask(0, 0), lambda: Graph.from_mask(-1, 0),
                  lambda: list(iter_labeled_graphs(0)), lambda: list(iter_labeled_graphs(-1)),
                  lambda: iter_labeled_graphs(0))  # refused at the call, before any step
-    too_many = (lambda: list(iter_labeled_graphs(8)), lambda: iter_labeled_graphs(8))
+    too_many = (lambda: list(iter_labeled_graphs(8)), lambda: iter_labeled_graphs(8),
+                lambda: iter_labeled_graphs(25))  # the sweep limit is checked first
     too_many_tables = (lambda: tough_mask_table(8, 1), lambda: edge_maximal_tough_sequences(8, 1))
     for builds, message in ((too_large, "graph too large: 25 > 24"),
                             (too_small, "graph needs at least one vertex"),
                             (too_many, "labeled sweep limited to n <= 7"),
-                            (too_many_tables, "toughness tables limited to n <= 7")):
+                            (too_many_tables, "toughness tables limited to n <= 7"),
+                            # a mask has one bit per vertex pair: 3 bits at n = 3
+                            ((lambda: Graph.from_mask(3, -1),), "edge mask -1 out of range for n=3"),
+                            ((lambda: Graph.from_mask(3, 8),), "edge mask 8 out of range for n=3")):
         for build in builds:
             with pytest.raises(ValueError) as info:
                 build()
