@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, repeat
 from typing import NamedTuple
 
@@ -395,12 +394,11 @@ def _spanning_masks(n: int, t):
                 yield mask
 
 
-@lru_cache(maxsize=None)
 def tough_mask_table(n: int, t) -> bytes:
     """Table over all edge masks: entry 1 iff the graph is t-tough.
 
-    Cached per (n, t) since a single n=7 fill covers 2^21 graphs.  No
-    cutset scan: the ``_spanning_masks`` are marked, the marks closed
+    Built on every call and kept nowhere (2 MiB, about 0.1 s at n = 7).
+    No cutset scan: the ``_spanning_masks`` are marked, the marks closed
     downward one edge bit at a time over a big integer holding one byte
     per mask, and the result flipped.
     """
@@ -419,7 +417,6 @@ def tough_mask_table(n: int, t) -> bytes:
     return (below ^ ones).to_bytes(size, "little")
 
 
-@lru_cache(maxsize=None)
 def edge_maximal_tough_sequences(n: int, t) -> tuple[DegreeSequence, ...]:
     """Degree sequences of all edge-maximal non-t-tough graphs on n vertices.
 
@@ -460,10 +457,11 @@ def parse_graph(text: str) -> Graph:
         raise ValueError(f"first line must be the vertex count, got {lines[0]!r}") from None
     edges = []
     for ln in lines[1:]:
-        fields = ln.split()
-        if len(fields) != 2:
-            raise ValueError(f"expected 'u v', got {ln!r}")
-        edges.append((int(fields[0]), int(fields[1])))
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"expected 'u v', got {ln!r}") from None
+        edges.append((u, v))
     return Graph(n, edges)
 
 

@@ -1,11 +1,14 @@
 import hashlib
+import importlib
 import json
+import pkgutil
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import toughseq
 from toughseq.graphs import (
     Graph,
     HAMILTONICITY_LIMIT,
@@ -259,46 +262,6 @@ def test_cutset_engine_against_definitions():
         assert not is_t_tough(g, result.value + Fraction(1, n * n))
 
 
-def forcibly_oracle(seq, predicate):
-    """Whether every labeled realization of seq satisfies the predicate.
-
-    Returns (True, None) or (False, counterexample), the counterexample
-    being the failing realization with the lowest edge mask.
-    """
-    n = len(seq)
-    target = tuple(seq)
-    matches = [mask for mask, _, degs in iter_labeled_graphs(n)
-               if tuple(sorted(degs)) == target]
-    if not matches:
-        raise ValueError(f"sequence {target} is not graphical")
-    for mask in sorted(matches):
-        g = Graph.from_mask(n, mask)
-        if not predicate(g):
-            return False, g
-    return True, None
-
-
-def test_forcibly_oracle_examples():
-    ok, cex = forcibly_oracle(DegreeSequence((1, 3, 3, 3, 4)), is_hamiltonian)
-    assert not ok
-    assert cex.degree_sequence() == (1, 3, 3, 3, 4)
-    assert not is_hamiltonian(cex)
-    ok, cex = forcibly_oracle(DegreeSequence((4, 4, 4, 4, 4)), is_hamiltonian)
-    assert ok and cex is None
-    ok, cex = forcibly_oracle(DegreeSequence((1, 1, 2, 2, 2)), lambda g: components(g) == 1)
-    assert not ok
-    assert components(cex) == 2
-
-
-def test_forcibly_oracle_counterexample_deterministic():
-    seq = DegreeSequence((1, 1, 2, 2, 2))
-    first = forcibly_oracle(seq, lambda g: components(g) == 1)[1]
-    again = forcibly_oracle(seq, lambda g: components(g) == 1)[1]
-    assert first == again
-    with pytest.raises(ValueError):
-        forcibly_oracle(DegreeSequence((1, 3, 3, 3)), is_hamiltonian)  # not graphical
-
-
 # (count of tough graphs, SHA-256 of the table) at n = 6, one entry per t of
 # ORACLE_TS in test_subposet.py, recorded from the earlier row-at-a-time fill
 N6_TABLES = {
@@ -382,6 +345,21 @@ def test_tough_table_n7_pinned(p, q):
         assert bool(table[mask]) == is_t_tough(Graph.from_mask(7, mask), Fraction(p, q))
 
 
+def test_library_keeps_no_cache():
+    # tables and sweeps are built on every call, so a caller scanning t holds only
+    # what it keeps; the tests' one cache is conftest's sweep(n)
+    modules = [importlib.import_module(f"toughseq.{info.name}")
+               for info in pkgutil.iter_modules(toughseq.__path__)]
+    assert len(modules) == 7
+    cached = []
+    for module in modules:
+        owners = [module, *(value for value in vars(module).values()
+                             if isinstance(value, type) and value.__module__ == module.__name__)]
+        cached += [f"{owner.__name__}.{name}" for owner in owners
+                   for name, value in vars(owner).items() if hasattr(value, "cache_info")]
+    assert cached == []
+
+
 def test_graph_file_round_trip(tmp_path):
     g = join(clique(2), union(empty_graph(2), clique(2)))
     text = f"{g.n}\n" + "\n".join(f"{u} {v}" for u, v in g.edges()) + "\n"
@@ -420,7 +398,10 @@ def test_parse_graph_errors():
         parse_graph("")
     with pytest.raises(ValueError):
         parse_graph("abc\n0 1\n")
-    with pytest.raises(ValueError):
-        parse_graph("3\n0 1 2\n")
+    # every malformed edge line, a wrong field count or a non-integer field, names the line
+    for text, line in (("3\n0 1 2\n", "0 1 2"), ("3\n0 x\n", "0 x"), ("3\n0 1.5\n", "0 1.5")):
+        with pytest.raises(ValueError) as info:
+            parse_graph(text)
+        assert str(info.value) == f"expected 'u v', got {line!r}"
     with pytest.raises(ValueError):
         parse_graph("3\n0 1\n1 0\n")  # duplicate edge

@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import groupby
 from math import lcm
 
 import pytest
@@ -23,7 +24,7 @@ from toughseq.conditions import (
 )
 from toughseq import subposet
 from toughseq.cli import main
-from toughseq.graphs import clique, is_k_connected, is_t_tough, join, union
+from toughseq.graphs import _terms, clique, is_k_connected, is_t_tough, join, union
 from toughseq.sequences import DegreeSequence, majorizes, parse_sequence
 from toughseq.subposet import (
     compute_sinks,
@@ -104,12 +105,12 @@ ORACLE_TS = [Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fra
 
 def test_family_sinks_equal_sweep_sinks():
     # the closed-form family has the same sinks as the exhaustive labeled-graph sweep
+    swept = {(n, t): edge_maximal_tough_sequences(n, t) for n in range(1, 8) for t in ORACLE_TS}
     cases = [(n, t) for n in range(1, 7) for t in ORACLE_TS] + [(7, Fraction(1, 2)), (7, Fraction(1))]
     for n, t in cases:
-        assert sweep_sinks(n, t) == tuple(compute_sinks(edge_maximal_tough_sequences(n, t))), (n, t)
+        assert sweep_sinks(n, t) == tuple(compute_sinks(swept[n, t])), (n, t)
     # the edge-maximal sequences themselves, pinned from the mask-at-a-time scan
-    doc = [[n, str(t), [list(s) for s in edge_maximal_tough_sequences(n, t)]]
-           for n in range(1, 8) for t in ORACLE_TS]
+    doc = [[n, str(t), [list(s) for s in seqs]] for (n, t), seqs in swept.items()]
     assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == (
         "0458ccd1c122db672a93063c147f4226cd62f1dde3674a1b057fa7cf89fef951")
 
@@ -165,6 +166,34 @@ def test_paper_theorems_declare_no_sink_past_the_sweep():
         for n in range(t.denominator // t.numerator + 2, 26):
             for sink in sweep_sinks(n, t):
                 assert not check_tough_le1(sink, t).declared, (t, n, sink)
+
+
+# distinct best monotone theorems over all t > 0 at n, as ROADMAP item 11 counts them
+T_AXIS_THEOREMS = {7: 15, 12: 41, 20: 119}
+
+
+def test_t_axis_one_theorem_per_term_list():
+    # w = max(2, floor(x/t) + 1) moves only where floor(x/t) does, and floor(x/t) = q on
+    # (x/(q + 1), x/q]; q >= n gives x + w > n.  So _terms(n, t) is constant on each (a, b]
+    # between adjacent breakpoints x/q (1 <= x < n, 1 <= q <= n; n - 1 is one of them), and
+    # on (n - 1, inf), where w = 2 and n - 1 < t closes the list
+    for n in range(2, 21):
+        ends = sorted({Fraction(x, q) for x in range(1, n) for q in range(1, n + 1)})
+        axis = []  # (terms, a t inside) per interval, in increasing t
+        for a, b in zip([Fraction(0), *ends], ends):
+            terms = list(_terms(n, b))
+            assert list(_terms(n, (a + b) / 2)) == terms, (n, a, b)
+            axis.append((terms, b))
+        terms = list(_terms(n, n - Fraction(1, 2)))
+        assert list(_terms(n, n)) == list(_terms(n, n * n)) == terms, n
+        axis.append((terms, Fraction(n)))
+        # each distinct list occupies one run of adjacent intervals
+        runs = [next(interval) for _, interval in groupby(axis, key=lambda it: it[0])]
+        assert len({tuple(terms) for terms, _ in runs}) == len(runs), n
+        # distinct lists give distinct theorems: seen for n = 2..20, not a proved claim
+        theorems = {sweep_sinks(n, t) for _, t in runs}
+        assert len(theorems) == len(runs), n
+        assert T_AXIS_THEOREMS.get(n, len(runs)) == len(runs), n
 
 
 @pytest.mark.parametrize("t, redundant", [
