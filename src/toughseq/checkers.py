@@ -21,8 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .conditions import ChvatalCondition, condition_to_json, evaluate, frontier_sequence
-from .graphs import MAX_VERTICES, Graph, clique, empty_graph, graph_to_json, join, union
+from .conditions import ChvatalCondition, _valid, condition_to_json, frontier_sequence
+from .graphs import MAX_VERTICES, Graph, _rational, clique, empty_graph, graph_to_json, join, union
 from .sequences import DegreeSequence, NotGraphicalError, _abbreviate, is_graphical
 
 __all__ = [
@@ -99,16 +99,21 @@ def _scan(seq, indexed, allow_nongraphical: bool, failure) -> Verdict:
     """Gate graphicality, then judge the conditions of ``indexed`` in order.
 
     ``indexed`` holds (label..., condition) entries, built by the caller
-    first so that an out-of-range n is reported before a non-graphical
-    sequence.  The first failing entry becomes a negative Verdict whose
-    extra fields ``failure(*labels, condition)`` supplies.
+    for n = len(seq) first so that an out-of-range n is reported before
+    a non-graphical sequence.  A condition holds when one of its clauses
+    d_i >= k does, as ``evaluate`` states it; the first entry with none
+    becomes a negative Verdict whose extra fields ``failure(*labels,
+    condition)`` supplies.
     """
     if not allow_nongraphical and not is_graphical(seq):
         raise NotGraphicalError(f"sequence {_abbreviate(seq)} is not graphical")
     conds = tuple(entry[-1] for entry in indexed)
-    for *labels, cond in indexed:
-        if not evaluate(cond, seq):
-            return Verdict(False, condition_set=conds, **failure(*labels, cond))
+    for entry in indexed:
+        for i, k in entry[-1].clauses:
+            if seq[i - 1] >= k:
+                break
+        else:
+            return Verdict(False, condition_set=conds, **failure(*entry))
     return Verdict(True, condition_set=conds)
 
 
@@ -130,15 +135,17 @@ def check_hamiltonian_chvatal(seq, allow_nongraphical: bool = False) -> Verdict:
 
 
 def kconnected_conditions(n: int, k: int) -> list[tuple[int, ChvatalCondition]]:
-    """Bondy-Boesch conditions (d_i >= i+k-1 or d_{n-k+1} >= n-i) for i <= (n-k+1)/2."""
+    """Bondy-Boesch conditions (d_i >= i+k-1 or d_{n-k+1} >= n-i) for i <= (n-k+1)/2.
+
+    Valid as built: 1 <= k <= n-1 and 1 <= i give 1 <= i < n-k+1 <= n
+    (2i <= n-k+1 and n-k+1 >= 2) and 1 <= i+k-1 <= n-i <= n (2i <= n-k+1).
+    """
     if n < 2:
         raise ValueError("k-connectivity conditions need n >= 2")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-    return [
-        (i, ChvatalCondition(n, ((i, i + k - 1), (n - k + 1, n - i))))
-        for i in range(1, (n - k + 1) // 2 + 1)
-    ]
+    return [(i, _valid(n, ((i, i + k - 1), (n - k + 1, n - i))))
+            for i in range(1, (n - k + 1) // 2 + 1)]
 
 
 def check_kconnected(seq, k: int, allow_nongraphical: bool = False) -> Verdict:
@@ -153,8 +160,11 @@ def tough_ge1_conditions(t, n: int) -> list[tuple[int, ChvatalCondition]]:
     Integer i runs from ceil(t) through the last integer strictly below
     t*n/(t+1); both bounds and floor(i/t) use exact arithmetic on t = p/q.
     At t = 1 this is exactly Chvatal's hamiltonian condition list.
+    Valid as built, with b = floor(i/t): i >= t gives b >= 1, and
+    i + i/t < n gives i + b < n, so 1 <= b < n-i <= n and
+    1 <= i+1 <= n-b <= n.  A float t raises TypeError.
     """
-    t = Fraction(t)
+    t = _rational(t)
     if t < 1:
         raise ValueError(f"this condition family needs t >= 1, got {t}")
     p, q = t.numerator, t.denominator
@@ -166,7 +176,7 @@ def tough_ge1_conditions(t, n: int) -> list[tuple[int, ChvatalCondition]]:
     out = []
     for i in range(i_lo, i_hi + 1):
         b = i * q // p  # floor(i/t)
-        out.append((i, ChvatalCondition(n, ((b, i + 1), (n - i, n - b)))))
+        out.append((i, _valid(n, ((b, i + 1), (n - i, n - b)))))
     return out
 
 
@@ -200,8 +210,11 @@ def tough_le1_conditions(t, n: int) -> list[tuple[str, int, ChvatalCondition]]:
     realization connected; rule "i" (d_i >= i-k+2 or d_{n-i+k-1} >= n-i,
     for k <= i < (n+k-1)/2) rules out the sparse clique structures.
     Verdicts depend only on k, so any t in (1/(k+1), 1/k] tests alike.
+    Rule "ii" is ``kconnected_conditions(n, 1)``; rule "i" is valid as
+    built: k <= i and 2i <= n+k-2 give 1 <= i < n-i+k-1 <= n and
+    2 <= i-k+2 <= n-i <= n.  A float t raises TypeError.
     """
-    t = Fraction(t)
+    t = _rational(t)
     if not 0 < t <= 1:
         raise ValueError(f"this condition family needs 0 < t <= 1, got {t}")
     k = t.denominator // t.numerator  # floor(1/t)
@@ -209,7 +222,7 @@ def tough_le1_conditions(t, n: int) -> list[tuple[str, int, ChvatalCondition]]:
         raise ValueError(f"need n >= floor(1/t)+2 = {k + 2}, got {n}")
     out = [("ii", i, cond) for i, cond in kconnected_conditions(n, 1)]
     for i in range(k, (n + k - 2) // 2 + 1):  # largest i with 2i < n+k-1
-        out.append(("i", i, ChvatalCondition(n, ((i, i - k + 2), (n - i + k - 1, n - i)))))
+        out.append(("i", i, _valid(n, ((i, i - k + 2), (n - i + k - 1, n - i)))))
     return out
 
 

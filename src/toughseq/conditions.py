@@ -81,6 +81,17 @@ class ChvatalCondition(_ConditionFields):
         return format_condition(self)
 
 
+def _valid(n: int, clauses: tuple[tuple[int, int], ...]) -> ChvatalCondition:
+    """A ChvatalCondition built without the range checks of ``__new__``.
+
+    Only for builders whose index ranges make every clause valid (int
+    n, a tuple of int pairs meeting the class invariants), as each
+    checker's condition list states; outside input goes through
+    ``ChvatalCondition(...)``.
+    """
+    return tuple.__new__(ChvatalCondition, (n, clauses))
+
+
 def evaluate(cond: ChvatalCondition, seq) -> bool:
     """True iff some clause d_i >= k holds for seq; empty condition is false."""
     if cond.n != len(seq):

@@ -240,8 +240,9 @@ def is_t_tough(g: Graph, t) -> bool:
 
     A cutset X leaves at most n - |X| components, so no size with
     |X|/(n-|X|) >= t can violate; that bound also settles t <= 0.
+    A float t raises TypeError.
     """
-    t = Fraction(t)
+    t = _rational(t)
     n = g.n
     if g.is_complete():
         return n - 1 >= t
@@ -345,14 +346,26 @@ def _blocks(rest: int, w: int):
         sub = (sub - 1) & others
 
 
+def _rational(t) -> Fraction:
+    """t as an exact Fraction; a float raises TypeError.
+
+    Fraction(0.1) is the float's binary value, just above 1/10, which
+    would silently move every floor(x/t) boundary that 1/10 sits on.
+    """
+    if isinstance(t, float):
+        raise TypeError(f"t must be exact (int, Fraction or 'P/Q' text), not the float {t!r}")
+    return Fraction(t)
+
+
 def _terms(n: int, t):
     """(x, w) for x = 0, 1, ... while x + w <= n, w = max(2, floor(x/t) + 1).
 
     Every non-t-tough graph on n vertices spans some K_x + (K_{c_1} u
     ... u K_{c_w}) of these shapes; when n - 1 < t, K_n is not t-tough
-    either and closes the terms as (x, w) = (n - 1, 1).
+    either and closes the terms as (x, w) = (n - 1, 1).  A float t
+    raises TypeError.
     """
-    t = Fraction(t)
+    t = _rational(t)
     if t <= 0:
         raise ValueError("t must be positive")
     if n < 1:

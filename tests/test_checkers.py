@@ -10,11 +10,12 @@ from toughseq.checkers import (
     check_tough_ge1,
     check_tough_le1,
     hamiltonian_conditions,
+    kconnected_conditions,
     parse_rational,
     tough_ge1_conditions,
     tough_le1_conditions,
 )
-from toughseq.conditions import ChvatalCondition, equivalent
+from toughseq.conditions import ChvatalCondition, equivalent, evaluate
 from toughseq.graphs import Graph, is_hamiltonian, is_t_tough, toughness
 from toughseq.sequences import DegreeSequence, NotGraphicalError, parse_sequence
 
@@ -224,3 +225,92 @@ def test_verdict_json_shape():
     assert len(data["conditions"]) == 2
     declared = check_tough_ge1(DegreeSequence([7] * 8), 2).to_json()
     assert declared["declared"] is True and declared["blocking_sequence"] is None
+
+
+def _assert_valid_as_built(indexed):
+    for *_, c in indexed:
+        assert type(c) is ChvatalCondition and c == ChvatalCondition(c.n, c.clauses), c
+
+
+def test_condition_lists_are_valid_as_built():
+    # the builders skip ChvatalCondition's range checks; their index ranges must
+    # make every clause valid, which the validating constructor confirms here
+    ge1 = [Fraction(1), Fraction(7, 6), Fraction(3, 2), Fraction(2), Fraction(5, 2),
+           Fraction(3), Fraction(10)]
+    le1 = [Fraction(1, 5), Fraction(1, 4), Fraction(2, 7), Fraction(1, 3), Fraction(1, 2),
+           Fraction(2, 3), Fraction(1)]
+    for n in range(2, 121):
+        for k in range(1, n):
+            _assert_valid_as_built(kconnected_conditions(n, k))
+        if n >= 3:
+            _assert_valid_as_built(hamiltonian_conditions(n))
+        for t in ge1:
+            if n >= -(-t.numerator // t.denominator) + 2:
+                _assert_valid_as_built(tough_ge1_conditions(t, n))
+        for t in le1:
+            if n >= t.denominator // t.numerator + 2:
+                _assert_valid_as_built(tough_le1_conditions(t, n))
+
+
+def test_inline_scan_matches_evaluate():
+    # each verdict names the first listed condition that evaluate() rejects, or none
+    rng = random.Random(3636)
+    outcomes = set()
+    for trial in range(600):
+        n = rng.randint(3, 80)
+        lo = rng.randrange(n)
+        seq = DegreeSequence([n - 1] * n if trial % 50 == 0 else
+                             [rng.randint(lo, n - 1) for _ in range(n)])
+        t_ge1 = rng.choice([t for t in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3))
+                            if n >= -(-t.numerator // t.denominator) + 2])
+        t_le1 = rng.choice([t for t in (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1))
+                            if n >= t.denominator // t.numerator + 2])
+        k = rng.randint(1, n - 1)
+        cases = [
+            (check_hamiltonian_chvatal(seq, allow_nongraphical=True), hamiltonian_conditions(n)),
+            (check_kconnected(seq, k, allow_nongraphical=True), kconnected_conditions(n, k)),
+            (check_tough_ge1(seq, t_ge1, allow_nongraphical=True), tough_ge1_conditions(t_ge1, n)),
+            (check_tough_le1(seq, t_le1, allow_nongraphical=True), tough_le1_conditions(t_le1, n)),
+        ]
+        for name, (verdict, indexed) in zip(("ham", "kconn", "ge1", "le1"), cases):
+            first = next((entry for entry in indexed if not evaluate(entry[-1], seq)), None)
+            if first is None:
+                want = (True, None, None)
+            else:
+                want = (False, first[-2], first[0] if len(first) == 3 else None)
+            assert (verdict.declared, verdict.failing_index, verdict.failing_rule) == want, (
+                name, seq)
+            assert verdict.condition_set == tuple(entry[-1] for entry in indexed)
+            outcomes.add((name, verdict.declared))
+    assert len(outcomes) == 8
+
+
+def test_float_t_raises_type_error():
+    # Fraction(0.1) is the float's binary value, just above 1/10: each of these
+    # entry points would silently answer for a different t
+    from toughseq.graphs import (
+        _terms, clique, edge_maximal_tough_sequences, empty_graph, join, tough_mask_table, union)
+    from toughseq.subposet import family, family_size, sweep_sinks
+
+    g = join(clique(1), union(empty_graph(9), clique(1)))  # tau = 1/10
+    assert is_t_tough(g, Fraction(1, 10))  # the float read False
+    assert [str(c) for i, c in tough_ge1_conditions(Fraction(11, 10), 30) if i == 11] == [
+        "d10>=12 | d19>=20"]  # the float listed d9>=12 | d19>=21
+    assert min(i for rule, i, _ in tough_le1_conditions(Fraction(1, 10), 14) if rule == "i") == 10
+    assert list(_terms(12, Fraction(1, 10)))[-1] == (1, 11)  # the float ended at (1, 10)
+    calls = [
+        lambda: is_t_tough(g, 0.1),
+        lambda: tough_ge1_conditions(1.1, 30),
+        lambda: tough_le1_conditions(0.1, 14),
+        lambda: list(_terms(12, 0.1)),
+        lambda: list(family(12, 0.1)),
+        lambda: family_size(12, 0.1, 10**6),
+        lambda: sweep_sinks(12, 0.1),
+        lambda: tough_mask_table(4, 0.5),
+        lambda: edge_maximal_tough_sequences(4, 0.5),
+        lambda: check_tough_ge1(DegreeSequence([4] * 6), 1.0),
+        lambda: check_tough_le1(DegreeSequence([4] * 6), 0.5),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="not the float"):
+            call()

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
@@ -179,6 +180,15 @@ def reference_lists():
                 entries += [rng.randint(-1, n)] * rng.randint(1, n)
             entries = entries[:n]
         yield entries
+
+
+def test_is_graphical_stops_early_as_the_reference_judges():
+    # is_graphical stops at the first k with d_k < k; every nonincreasing list with
+    # n <= 7 and entries in -2..n+1 puts that stop at each k, and at k = 1 with
+    # entries <= 0, where inequality 1 is still to be checked
+    for n in range(1, 8):
+        for entries in combinations_with_replacement(range(n + 1, -3, -1), n):
+            assert is_graphical(entries) == quadratic_erdos_gallai(entries), entries
 
 
 def test_is_graphical_matches_references():

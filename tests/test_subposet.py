@@ -13,6 +13,7 @@ from toughseq.checkers import (
     check_tough_le1,
     kconnected_conditions,
     tough_ge1_conditions,
+    tough_le1_conditions,
 )
 from toughseq.conditions import (
     ChvatalCondition,
@@ -213,6 +214,19 @@ def test_tough_ge1_theorem_is_sound_and_weakly_optimal(t, redundant):
             assert is_weakly_optimal(cond, sinks), (t, n, cond)
             found += canonicalize(cond) not in best
     assert found == redundant
+
+
+def test_simple_t_le1_theorem_weakly_optimal_conditions():
+    # observed for these t and n, not proved: of the simple t < 1 theorem, exactly the
+    # rule "ii" (connectivity) conditions and the first rule "i" condition, i = k =
+    # floor(1/t), are weakly optimal; floor(n/2) + 1 of its conditions
+    for t in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)):
+        k = t.denominator // t.numerator
+        for n in range(k + 2, 31):
+            sinks = sweep_sinks(n, t)
+            optimal = [(rule, i) for rule, i, cond in tough_le1_conditions(t, n)
+                       if is_weakly_optimal(cond, sinks)]
+            assert optimal == [("ii", i) for i in range(1, n // 2 + 1)] + [("i", k)], (t, n)
 
 
 def test_family_slices_stream_to_the_sinks():
