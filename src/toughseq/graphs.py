@@ -15,10 +15,13 @@ with (|X|, w) in ``_terms(n, t)``, a ``_spanning_masks`` shape; the
 table closes their masks downward, and the edge-maximal graphs are the
 shapes inside no other.  ``subposet.family`` reads the same (x, w) pairs.
 
-Sweeps cover all 2^(n(n-1)/2) labeled graphs on n vertices as edge
-masks, a format no other module reads.  Edge bit b encodes the pair
-``edge_pairs(n)[b]``, pairs ordered (0,1), (0,2), ..., (1,2), ...;
-"lowest adjacency encoding" in tie-breaks refers to this mask value.
+The sweep oracle, ``tough_mask_table`` and
+``edge_maximal_tough_sequences``, is importable from here but not
+exported: it serves the tests, which walk every labeled graph on
+n <= 7 vertices themselves, and the benchmark's tracer.  Its table
+indexes the 2^(n(n-1)/2) labeled graphs on n vertices by edge mask,
+a format no other module reads.  Edge bit b encodes the pair
+``edge_pairs(n)[b]``, pairs ordered (0,1), (0,2), ..., (1,2), ....
 """
 
 from __future__ import annotations
@@ -50,9 +53,6 @@ __all__ = [
     "read_graph",
     "graph_to_json",
     "edge_pairs",
-    "iter_labeled_graphs",
-    "tough_mask_table",
-    "edge_maximal_tough_sequences",
 ]
 
 MAX_VERTICES = 24          # construction limit: beyond this nothing here is exact-sweep friendly
@@ -289,39 +289,6 @@ def is_k_connected(g: Graph, k: int) -> bool:
 def edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """Bit-position -> vertex-pair table for edge masks on n vertices."""
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
-
-
-def iter_labeled_graphs(n: int):
-    """Yield (mask, rows, degrees) for every labeled graph on n vertices.
-
-    Masks follow binary-reflected Gray order so each step flips one
-    edge and the rows/degrees update in O(1).  The yielded lists are
-    shared and mutated in place: consume, don't store.  n is checked
-    at the call, not on the first step.
-    """
-    if n > SWEEP_LIMIT:
-        raise ValueError(f"labeled sweep limited to n <= {SWEEP_LIMIT}")
-    _check_size(n)
-    return _gray_walk(n)
-
-
-def _gray_walk(n: int):
-    pairs = edge_pairs(n)
-    m = len(pairs)
-    rows = [0] * n
-    degs = [0] * n
-    yield 0, rows, degs
-    gray = 0
-    for i in range(1, 1 << m):
-        b = (i & -i).bit_length() - 1
-        u, v = pairs[b]
-        gray ^= 1 << b
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
-        step = 1 if gray >> b & 1 else -1
-        degs[u] += step
-        degs[v] += step
-        yield gray, rows, degs
 
 
 def _blocks(rest: int, w: int):

@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 
 from toughseq.checkers import check_hamiltonian_chvatal, check_kconnected, check_tough_ge1, check_tough_le1
 from toughseq.conditions import ChvatalCondition
-from toughseq.graphs import Graph, is_hamiltonian, is_k_connected, iter_labeled_graphs, tough_mask_table
+from toughseq.graphs import Graph, edge_pairs, is_hamiltonian, is_k_connected, tough_mask_table
 from toughseq.sequences import DegreeSequence, is_graphical
 
 
@@ -93,6 +93,9 @@ def _cell(checker, param, n):
 def _walk(n, cells):
     """Walk every labeled graph on n vertices once.
 
+    Graphs are edge masks over ``edge_pairs(n)``, the index of
+    ``tough_mask_table``, in binary-reflected Gray order: step i flips
+    the lowest set bit of i, so rows and degrees update in O(1).
     cells maps a name to (declares, holds).  Each distinct degree
     multiset is judged once per cell, and holds runs only on graphs whose
     multiset was declared.  Returns the realized multisets and, per cell,
@@ -103,7 +106,18 @@ def _walk(n, cells):
     # vectors for 342 multisets, so most graphs skip the sort
     by_vector = {}
     bad = {name: [] for name in cells}
-    for mask, rows, degs in iter_labeled_graphs(n):
+    pairs = edge_pairs(n)
+    mask, rows, degs = 0, [0] * n, [0] * n
+    for i in range(1 << len(pairs)):
+        if i:
+            b = (i & -i).bit_length() - 1
+            u, v = pairs[b]
+            mask ^= 1 << b
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            step = 1 if mask >> b & 1 else -1
+            degs[u] += step
+            degs[v] += step
         todo = by_vector.get(tuple(degs))
         if todo is None:
             key = tuple(sorted(degs))

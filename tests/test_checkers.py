@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import _walk, random_majorizing_pair, sweep
+from conftest import _walk, random_condition, random_majorizing_pair, random_valid_sequence, sweep
 from toughseq.checkers import (
     check_hamiltonian_chvatal,
     check_kconnected,
@@ -15,8 +15,8 @@ from toughseq.checkers import (
     tough_ge1_conditions,
     tough_le1_conditions,
 )
-from toughseq.conditions import ChvatalCondition, equivalent, evaluate
-from toughseq.graphs import Graph, is_hamiltonian, is_t_tough, toughness
+from toughseq.conditions import ChvatalCondition, blocking_condition, equivalent, evaluate
+from toughseq.graphs import Graph, edge_pairs, is_hamiltonian, is_t_tough, toughness
 from toughseq.sequences import DegreeSequence, NotGraphicalError, parse_sequence
 
 
@@ -212,6 +212,48 @@ def test_sweep_reports_a_checker_that_declares_everything():
                                lambda mask, rows: is_hamiltonian(Graph.from_rows(4, rows)))})
     assert ((0, 0, 0, 0), 0) in bad["all"]
     assert ((3, 3, 3, 3), 63) not in bad["all"]
+
+
+def test_walk_visits_every_mask_in_the_library_format():
+    # the tests' Gray walk indexes tough_mask_table, so each graph it hands over
+    # must be Graph.from_mask(n, mask): a wrong bit order would pass silently.  holds
+    # returns None, so bad also lists every graph, with its sorted degrees
+    for n in range(1, 6):
+        seen = []
+        _, bad = _walk(n, {"all": (lambda seq: True,
+                                   lambda mask, rows: seen.append((mask, tuple(rows))))})
+        assert sorted(mask for mask, _ in seen) == list(range(1 << len(edge_pairs(n))))
+        for (mask, rows), (degrees, bad_mask) in zip(seen, bad["all"]):
+            g = Graph.from_mask(n, mask)
+            assert (rows, degrees, bad_mask) == (g.rows, g.degree_sequence(), mask), (n, mask)
+
+
+def test_plain_sequences_are_read_sorted():
+    # clauses index the sorted entries, so a list in any order gets the answer of
+    # its DegreeSequence
+    assert not check_kconnected([2, 2, 1, 1], 2).declared  # P4 is not 2-connected
+    assert not check_tough_ge1([5, 5, 3, 3, 2, 2], 1).declared
+    assert not evaluate(ChvatalCondition(4, ((1, 2),)), [3, 1, 2, 2])
+    assert str(blocking_condition([3, 1, 2, 2])) == "d1>=2 | d3>=3"
+    with pytest.raises(ValueError, match="degree entries must lie in"):
+        check_hamiltonian_chvatal([3, 0, 1])
+    rng = random.Random(11)
+    for n in range(3, 41):
+        for _ in range(6):
+            seq = random_valid_sequence(rng, n)
+            shuffled = list(seq)
+            rng.shuffle(shuffled)
+            k = rng.randint(1, n - 1)
+            t_ge1 = Fraction(rng.randint(2, 2 * n - 4), 2)
+            t_le1 = Fraction(1, rng.randint(1, n - 2))
+            cond = random_condition(rng, n)
+            for call in (lambda s: check_hamiltonian_chvatal(s, allow_nongraphical=True),
+                         lambda s: check_kconnected(s, k, allow_nongraphical=True),
+                         lambda s: check_tough_ge1(s, t_ge1, allow_nongraphical=True),
+                         lambda s: check_tough_le1(s, t_le1, allow_nongraphical=True),
+                         lambda s: evaluate(cond, s),
+                         blocking_condition):
+                assert call(shuffled) == call(seq), (n, shuffled, k, t_ge1, t_le1, cond)
 
 
 def test_verdict_json_shape():

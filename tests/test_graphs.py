@@ -23,7 +23,6 @@ from toughseq.graphs import (
     is_hamiltonian,
     is_k_connected,
     is_t_tough,
-    iter_labeled_graphs,
     join,
     parse_graph,
     read_graph,
@@ -101,15 +100,10 @@ def test_graph_validation():
     too_large = (lambda: clique(25), lambda: empty_graph(25), lambda: Graph(25),
                  lambda: union(clique(12), clique(13)), lambda: join(clique(20), empty_graph(5)))
     too_small = (lambda: clique(0), lambda: clique(-2), lambda: empty_graph(0), lambda: Graph(0),
-                 lambda: Graph.from_rows(0, ()), lambda: Graph.from_mask(0, 0), lambda: Graph.from_mask(-1, 0),
-                 lambda: list(iter_labeled_graphs(0)), lambda: list(iter_labeled_graphs(-1)),
-                 lambda: iter_labeled_graphs(0))  # refused at the call, before any step
-    too_many = (lambda: list(iter_labeled_graphs(8)), lambda: iter_labeled_graphs(8),
-                lambda: iter_labeled_graphs(25))  # the sweep limit is checked first
+                 lambda: Graph.from_rows(0, ()), lambda: Graph.from_mask(0, 0), lambda: Graph.from_mask(-1, 0))
     too_many_tables = (lambda: tough_mask_table(8, 1), lambda: edge_maximal_tough_sequences(8, 1))
     for builds, message in ((too_large, "graph too large: 25 > 24"),
                             (too_small, "graph needs at least one vertex"),
-                            (too_many, "labeled sweep limited to n <= 7"),
                             (too_many_tables, "toughness tables limited to n <= 7"),
                             # a mask has one bit per vertex pair: 3 bits at n = 3
                             ((lambda: Graph.from_mask(3, -1),), "edge mask -1 out of range for n=3"),

@@ -25,7 +25,7 @@ from toughseq.conditions import (
 )
 from toughseq import subposet
 from toughseq.cli import main
-from toughseq.graphs import _terms, clique, is_k_connected, is_t_tough, join, union
+from toughseq.graphs import Graph, _terms, clique, edge_pairs, is_k_connected, is_t_tough, join, toughness, union
 from toughseq.sequences import DegreeSequence, majorizes, parse_sequence
 from toughseq.subposet import (
     compute_sinks,
@@ -497,6 +497,53 @@ def test_bondy_boesch_is_best_monotone(monkeypatch):
                 g = union(clique(a), clique(b))
                 g = join(clique(k - 1), g) if k > 1 else g
                 assert g.degree_sequence() == sink and not is_k_connected(g, k), (n, k, sink)
+
+
+def test_scattering_number_best_monotone_closed_form(monkeypatch):
+    # scattering number at most s (Jung 1978) bounds omega(G - S) by |S| + s for every
+    # cutset S, so its edge-maximal failures are the shapes (x, x + s + 1) and the sink
+    # engine under that list yields its best monotone theorem; it reads
+    # d_{i+s-1} >= i | d_{n+1-i} >= n-i-s+1 for 2i < n + 2 - s, observed per n, not proved
+    for s in range(1, 6):
+        monkeypatch.setattr(subposet, "_terms", lambda n, t, s=s: [
+            (x, x + s + 1) for x in range(n) if 2 * x + s + 1 <= n])
+        for n in range(s + 2, 31):
+            want = {canonicalize(ChvatalCondition(n, ((i + s - 1, i), (n + 1 - i, n - i - s + 1))))
+                    for i in range(1, (n + 1 - s) // 2 + 1)}
+            conds = generate_best_monotone(sweep_sinks(n, 1))
+            assert set(conds) == want and len(conds) == (n + 1 - s) // 2, (s, n)
+
+
+def test_family_lemma_past_the_sweep():
+    # ROADMAP item 13: past n = 7, the cutset engine, which reads no _terms, checks the
+    # lemma that every sink rests on.  Each non-t-tough G(n, p) graph is majorized by a
+    # sink, and saturating one (keeping each added edge that leaves it non-t-tough) ends
+    # at an edge-maximal non-t-tough graph, whose degrees must be a family member
+    ts = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2)]
+    rng = random.Random(5)
+    checked = saturated = 0
+    for n in range(8, 13):
+        sinks = {t: sweep_sinks(n, t) for t in ts}
+        members = {t: {degrees for _, _, degrees in family(n, t)} for t in ts if n <= 10}
+        for p in (0.3, 0.45, 0.6, 0.75):
+            for _ in range(4):
+                g = Graph(n, [pair for pair in edge_pairs(n) if rng.random() < p])
+                tau = toughness(g).value
+                for t in (t for t in ts if t > tau):
+                    assert any(majorizes(sink, g.degree_sequence()) for sink in sinks[t]), (
+                        g.edges(), t)
+                    checked += 1
+                    if t not in members:
+                        continue
+                    edges = g.edges()
+                    missing = sorted(set(edge_pairs(n)) - set(edges))
+                    rng.shuffle(missing)
+                    for pair in missing:
+                        if not is_t_tough(Graph(n, edges + [pair]), t):
+                            edges.append(pair)
+                    assert Graph(n, edges).degree_sequence() in members[t], (g.edges(), edges, t)
+                    saturated += 1
+    assert (checked, saturated) == (162, 112)  # no cell was left empty
 
 
 def test_sink_violates_only_its_own_condition():
