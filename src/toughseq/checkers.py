@@ -100,14 +100,13 @@ def _scan(seq, indexed, allow_nongraphical: bool, failure) -> Verdict:
 
     ``indexed`` holds (label..., condition) entries, built by the caller
     for n = len(seq) first so that an out-of-range n is reported before
-    a non-graphical sequence.  A seq that is not a DegreeSequence is
-    read sorted, through one, as clauses index the sorted entries.  A
-    condition holds when one of its clauses d_i >= k does, as
-    ``evaluate`` states it; the first entry with none becomes a negative
-    Verdict whose extra fields ``failure(*labels, condition)`` supplies.
+    a non-graphical sequence.  seq is read through DegreeSequence, as
+    clauses index the sorted entries.  A condition holds when one of its
+    clauses d_i >= k does, as ``evaluate`` states it; the first entry
+    with none becomes a negative Verdict whose extra fields
+    ``failure(*labels, condition)`` supplies.
     """
-    if not isinstance(seq, DegreeSequence):
-        seq = DegreeSequence(seq)
+    seq = DegreeSequence(seq)
     if not allow_nongraphical and not is_graphical(seq):
         raise NotGraphicalError(f"sequence {_abbreviate(seq)} is not graphical")
     conds = tuple(entry[-1] for entry in indexed)

@@ -95,13 +95,12 @@ def _valid(n: int, clauses: tuple[tuple[int, int], ...]) -> ChvatalCondition:
 def evaluate(cond: ChvatalCondition, seq) -> bool:
     """True iff some clause d_i >= k holds for seq; empty condition is false.
 
-    Clauses index the sorted entries: a seq that is not a DegreeSequence
-    is read through one, so an out-of-range entry raises ValueError.
+    Clauses index the sorted entries: seq is read through DegreeSequence,
+    so an out-of-range entry raises ValueError.
     """
     if cond.n != len(seq):
         raise ValueError(f"length mismatch: condition n={cond.n}, sequence n={len(seq)}")
-    if not isinstance(seq, DegreeSequence):
-        seq = DegreeSequence(seq)
+    seq = DegreeSequence(seq)
     return any(seq[i - 1] >= k for i, k in cond.clauses)
 
 
@@ -132,12 +131,11 @@ def blocking_condition(seq) -> ChvatalCondition:
 
     The disjunction d_1 >= k_1+1 | ... | d_n >= k_n+1 for
     pi = (k_1, ..., k_n), clauses past n dropped; a sequence violates
-    the result exactly when it is majorized by pi.  A seq that is not a
-    DegreeSequence is read sorted, through one.  The raw clauses go to
-    canonicalize unvalidated, so only the survivors are checked.
+    the result exactly when it is majorized by pi.  seq is read through
+    DegreeSequence, so sorted.  The raw clauses go to canonicalize
+    unvalidated, so only the survivors are checked.
     """
-    if not isinstance(seq, DegreeSequence):
-        seq = DegreeSequence(seq)
+    seq = DegreeSequence(seq)
     n = len(seq)
     return canonicalize(_ConditionFields(n, [(j, d + 1) for j, d in enumerate(seq, 1) if d + 1 <= n]))
 

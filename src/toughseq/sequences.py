@@ -34,14 +34,16 @@ class DegreeSequence(tuple):
     """Nondecreasing integer n-sequence with 0 <= d_j <= n-1.
 
     Entries are sorted at construction, so any iterable of integers in
-    range is accepted.  Instances are immutable, hashable, and compare
-    like plain tuples (entry-wise, lexicographic ordering).
+    range is accepted; a DegreeSequence passes through as itself.
+    Instances are immutable, hashable, and compare like tuples.
     """
 
     __slots__ = ()
 
     def __new__(cls, entries):
-        vals = sorted(operator.index(d) for d in entries)
+        if isinstance(entries, DegreeSequence):
+            return entries
+        vals = sorted(map(operator.index, entries))
         if not vals:
             raise ValueError("empty degree sequence")
         n = len(vals)

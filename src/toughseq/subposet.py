@@ -285,11 +285,12 @@ def is_weakly_optimal(cond: ChvatalCondition, sinks):
     With the complete sink set for (n, P) a witness exists exactly when
     cond is P-weakly optimal: every violator of cond sits below the
     frontier, so all violators are majorized by a non-forcibly-P
-    sequence iff the frontier itself is.  Sinks are non-empty, so the
-    result is truthy exactly when cond is weakly optimal.
+    sequence iff the frontier itself is.  Each sink is read through
+    DegreeSequence, so sorted, and is non-empty: the result is truthy
+    exactly when cond is weakly optimal.
     """
     frontier = frontier_sequence(cond)
-    return next((sink for sink in sinks if majorizes(sink, frontier)), None)
+    return next((sink for sink in map(DegreeSequence, sinks) if majorizes(sink, frontier)), None)
 
 
 def sweep_sinks(n: int, t) -> tuple[DegreeSequence, ...]:

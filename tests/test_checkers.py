@@ -18,6 +18,7 @@ from toughseq.checkers import (
 from toughseq.conditions import ChvatalCondition, blocking_condition, equivalent, evaluate
 from toughseq.graphs import Graph, edge_pairs, is_hamiltonian, is_t_tough, toughness
 from toughseq.sequences import DegreeSequence, NotGraphicalError, parse_sequence
+from toughseq.subposet import is_weakly_optimal
 
 
 def test_parse_rational():
@@ -230,7 +231,7 @@ def test_walk_visits_every_mask_in_the_library_format():
 
 def test_plain_sequences_are_read_sorted():
     # clauses index the sorted entries, so a list in any order gets the answer of
-    # its DegreeSequence
+    # its DegreeSequence; is_weakly_optimal reads each sink the same way
     assert not check_kconnected([2, 2, 1, 1], 2).declared  # P4 is not 2-connected
     assert not check_tough_ge1([5, 5, 3, 3, 2, 2], 1).declared
     assert not evaluate(ChvatalCondition(4, ((1, 2),)), [3, 1, 2, 2])
@@ -252,7 +253,8 @@ def test_plain_sequences_are_read_sorted():
                          lambda s: check_tough_ge1(s, t_ge1, allow_nongraphical=True),
                          lambda s: check_tough_le1(s, t_le1, allow_nongraphical=True),
                          lambda s: evaluate(cond, s),
-                         blocking_condition):
+                         blocking_condition,
+                         lambda s: bool(is_weakly_optimal(cond, [s]))):
                 assert call(shuffled) == call(seq), (n, shuffled, k, t_ge1, t_le1, cond)
 
 

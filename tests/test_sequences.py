@@ -49,6 +49,8 @@ def test_format_examples():
 
 def test_constructor_sorts_and_validates():
     assert tuple(DegreeSequence([3, 1, 2, 0])) == (0, 1, 2, 3)
+    d = DegreeSequence((1, 1))
+    assert DegreeSequence(d) is d  # already sorted and checked: passed through
     with pytest.raises(ValueError):
         DegreeSequence(())
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from math import lcm
 
 import pytest
 
+from conftest import all_valid_sequences
 from toughseq.checkers import (
     check_tough_ge1,
     check_tough_le1,
@@ -26,7 +27,7 @@ from toughseq.conditions import (
 from toughseq import subposet
 from toughseq.cli import main
 from toughseq.graphs import Graph, _terms, clique, edge_pairs, is_k_connected, is_t_tough, join, toughness, union
-from toughseq.sequences import DegreeSequence, majorizes, parse_sequence
+from toughseq.sequences import DegreeSequence, is_graphical, majorizes, parse_sequence
 from toughseq.subposet import (
     compute_sinks,
     edge_maximal_tough_sequences,
@@ -227,6 +228,32 @@ def test_simple_t_le1_theorem_weakly_optimal_conditions():
             optimal = [(rule, i) for rule, i, cond in tough_le1_conditions(t, n)
                        if is_weakly_optimal(cond, sinks)]
             assert optimal == [("ii", i) for i in range(1, n // 2 + 1)] + [("i", k)], (t, n)
+
+
+def test_simple_t_le1_theorem_against_the_best():
+    # ROADMAP items 6 and 14, observed at these cells, not proved: the best monotone
+    # theorem declares a graphical sequence iff no sink of sweep_sinks(n, t) majorizes
+    # it, and it declares every sequence the simple theorem (check_tough_le1) declares.
+    # Pinned per n: the graphical count, then (best, simple) at t = 1/2, 1/3, 1/4
+    ts = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
+    pinned = {
+        8: (1213, [(622, 484), (721, 675), (741, 717)]),
+        9: (4361, [(2281, 1836), (2610, 2264), (2695, 2624)]),
+        10: (16016, [(8333, 6061), (9702, 8563), (9987, 9339)]),
+    }
+    for n, (graphical_count, counts) in pinned.items():
+        graphical = [seq for seq in all_valid_sequences(n) if is_graphical(seq)]
+        assert len(graphical) == graphical_count, n
+        for t, count in zip(ts, counts):
+            sinks = sweep_sinks(n, t)
+            best = simple = 0
+            for seq in graphical:
+                declared = not any(majorizes(sink, seq) for sink in sinks)
+                best += declared
+                if check_tough_le1(seq, t).declared:
+                    assert declared, (n, t, seq)
+                    simple += 1
+            assert (best, simple) == count, (n, t)
 
 
 def test_family_slices_stream_to_the_sinks():
@@ -518,7 +545,8 @@ def test_family_lemma_past_the_sweep():
     # ROADMAP item 13: past n = 7, the cutset engine, which reads no _terms, checks the
     # lemma that every sink rests on.  Each non-t-tough G(n, p) graph is majorized by a
     # sink, and saturating one (keeping each added edge that leaves it non-t-tough) ends
-    # at an edge-maximal non-t-tough graph, whose degrees must be a family member
+    # at an edge-maximal non-t-tough graph, whose degrees must be a family member and
+    # which must itself be a shape K_X + (K_c1 u ... u K_cw) with (|X|, w) in _terms
     ts = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2)]
     rng = random.Random(5)
     checked = saturated = 0
@@ -541,7 +569,18 @@ def test_family_lemma_past_the_sweep():
                     for pair in missing:
                         if not is_t_tough(Graph(n, edges + [pair]), t):
                             edges.append(pair)
-                    assert Graph(n, edges).degree_sequence() in members[t], (g.edges(), edges, t)
+                    h = Graph(n, edges)
+                    assert h.degree_sequence() in members[t], (g.edges(), edges, t)
+                    # the stronger form: h is itself a shape.  X is its vertices of
+                    # degree n - 1; G - X is a union of cliques iff closed
+                    # neighbourhoods in G - X agree along every edge, one per clique
+                    full = (1 << n) - 1
+                    x = [v for v in range(n) if h.rows[v] | 1 << v == full]
+                    rest = full ^ sum(1 << v for v in x)
+                    closed = {v: (h.rows[v] | 1 << v) & rest for v in range(n) if rest >> v & 1}
+                    assert all(closed[u] == nv for nv in closed.values() for u in closed if nv >> u & 1), (
+                        edges, t)
+                    assert (len(x), len(set(closed.values()))) in _terms(n, t), (edges, t)
                     saturated += 1
     assert (checked, saturated) == (162, 112)  # no cell was left empty
 
@@ -583,6 +622,8 @@ def test_is_weakly_optimal_examples():
 
     assert frontier_sequence(full) == parse_sequence("1 4^4 5")
     assert is_weakly_optimal(full, all_sinks) == parse_sequence("1 4^4 5")
+    # a plain sink is read sorted: 3 1 2 2 is 1 2^2 3, the frontier of d1>=2 | d3>=3
+    assert is_weakly_optimal(parse_condition("d1>=2 | d3>=3", 4), [[3, 1, 2, 2]]) == (1, 2, 2, 3)
 
 
 def test_trend_sink_counts_strictly_increase_in_k():
